@@ -25,7 +25,8 @@ import os
 import tempfile
 import urllib.request
 
-from repro.exec import ExperimentPlan, Job, ParallelExecutor, SerialExecutor
+from repro.exec import (ExperimentPlan, Job, ParallelExecutor, RunContext,
+                        SerialExecutor)
 from repro.obs.heartbeat import BeatSpec, HeartbeatMonitor, open_beat_channel
 from repro.obs.metrics import (MetricsRegistry, MetricsServer,
                                render_prometheus)
@@ -51,8 +52,9 @@ def run_with_telemetry(executor, parallel):
     monitor.start()
     try:
         results = ExperimentPlan(build_jobs()).run(
-            executor=executor, metrics=registry,
-            beat=BeatSpec(queue=channel, every=1024))
+            executor=executor,
+            ctx=RunContext(metrics=registry,
+                           beat=BeatSpec(queue=channel, every=1024)))
     finally:
         monitor.stop()
         if manager is not None:

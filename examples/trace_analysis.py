@@ -19,7 +19,7 @@ then ``repro trace view t.jsonl.*.jsonl``.
 import tempfile
 from pathlib import Path
 
-from repro.exec import ParallelExecutor
+from repro.exec import ParallelExecutor, RunContext
 from repro.obs import TraceSpec, read_trace
 from repro.sim import sweep_delayed_tlb
 
@@ -34,7 +34,7 @@ TOP_N = 3
 def capture(base: Path) -> list:
     spec = TraceSpec(base=base, sample_every=2)
     sweep_delayed_tlb(WORKLOAD, list(SIZES), accesses=ACCESSES,
-                      warmup=WARMUP, trace_spec=spec,
+                      warmup=WARMUP, ctx=RunContext(trace_spec=spec),
                       executor=ParallelExecutor(workers=WORKERS))
     return spec.shards()
 

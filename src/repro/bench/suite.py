@@ -20,7 +20,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import ResultCache
 from repro.exec.job import Job
-from repro.exec.plan import ExperimentPlan, ProgressCallback
+from repro.exec.context import RunContext
+from repro.exec.plan import ExperimentPlan
 
 #: ``(name, workload, mmu)`` points of the canonical suite.
 SUITE_POINTS: Tuple[Tuple[str, str, str], ...] = (
@@ -85,7 +86,7 @@ def jobs_from_baseline(doc: Dict[str, Any]) -> List[Tuple[str, Job]]:
 def run_suite(jobs: Sequence[Tuple[str, Job]],
               executor=None,
               cache: Optional[ResultCache] = None,
-              progress: Optional[ProgressCallback] = None
+              ctx: Optional[RunContext] = None
               ) -> List[Dict[str, Any]]:
     """Execute the suite and return v2 benchmark entries.
 
@@ -94,7 +95,7 @@ def run_suite(jobs: Sequence[Tuple[str, Job]],
     a baseline must never silently record a partial suite.
     """
     plan = ExperimentPlan(job for _, job in jobs)
-    outcomes = plan.run(executor=executor, cache=cache, progress=progress)
+    outcomes = plan.run(executor=executor, cache=cache, ctx=ctx)
     entries: List[Dict[str, Any]] = []
     for name, job in jobs:
         result = outcomes.result(job)

@@ -11,7 +11,7 @@ Subcommands:
   for one point or an aggregated ``--sizes`` sweep;
 * ``trace``      — the trace-analysis surface: ``trace view`` analyzes
   recorded JSONL event traces offline, ``trace workload`` profiles a
-  workload's address stream (``analyze`` remains as an alias);
+  workload's address stream;
 * ``bench``      — benchmark baselines: ``record`` / ``check`` /
   ``migrate`` (the regression gate);
 * ``db``         — the cross-run metrics store: ``ingest`` recorded
@@ -54,14 +54,16 @@ end-of-plan fold).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro import __version__
 from repro.common.params import SystemConfig
 from repro.common.stats import mpki
-from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
+from repro.exec import (ParallelExecutor, ResultCache, RunContext,
+                        SerialExecutor)
 from repro.obs.aggregate import PROFILE_SCHEMA, aggregate_results
 from repro.obs.heartbeat import (BeatSpec, HeartbeatMonitor, LiveStatus,
                                  StaleWorker, open_beat_channel)
@@ -126,38 +128,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _trace_setup(args):
-    """``(tracer, trace_spec)`` from the ``--trace-out`` family of flags.
-
-    Serial execution records into one shared stream (byte-identical to
-    the historical behavior); with ``--workers N > 1`` each job gets its
-    own shard, ``<out>.<fingerprint>.jsonl``, opened inside the worker.
-    """
-    trace_out = getattr(args, "trace_out", None)
-    if not trace_out:
-        return None, None
-    sample_every = getattr(args, "sample_every", 1) or 1
-    if (getattr(args, "workers", None) or 1) > 1:
-        return None, TraceSpec(base=trace_out, sample_every=sample_every)
-    try:
-        return Tracer(sample_every=sample_every, sink=trace_out), None
-    except OSError as exc:
-        raise SystemExit(f"repro: cannot open trace sink {trace_out!r}: {exc}")
-
-
-def _finish_trace(tracer: Optional[Tracer],
-                  trace_spec: Optional[TraceSpec]) -> None:
-    """Close a shared tracer / report where the shards landed."""
-    if tracer is not None:
-        tracer.close()
-    if trace_spec is not None:
-        shards = trace_spec.shards()
-        print(f"repro: {len(shards)} trace shard(s) at "
-              f"{trace_spec.base}.<fingerprint>.jsonl "
-              f"(merge with: repro trace view {trace_spec.base}.*.jsonl)",
-              file=sys.stderr)
-
-
 def _executor(args):
     """Engine executor from ``--workers`` (serial unless N > 1)."""
     workers = getattr(args, "workers", None) or 1
@@ -212,20 +182,6 @@ class _ProgressReporter:
         self._summarized = True
         print(f"repro: {self.ran} ran, {self.cached} cached, "
               f"{self.failed} failed", file=sys.stderr)
-
-
-def _progress(args, telemetry: "Optional[_Telemetry]" = None):
-    """Progress callback — engine flags or live telemetry turn it on;
-    the default serial path stays byte-identical with ``None``."""
-    live = telemetry.live_status if telemetry is not None else None
-    if live is None \
-            and (getattr(args, "workers", None) or 1) <= 1 \
-            and not getattr(args, "cache_dir", None):
-        return None
-    reporter = _ProgressReporter(live=live)
-    if telemetry is not None:
-        telemetry.reporter = reporter
-    return reporter
 
 
 class _Telemetry:
@@ -310,6 +266,56 @@ class _Telemetry:
             self._manager.shutdown()
 
 
+@contextlib.contextmanager
+def _run_context(args) -> Iterator[RunContext]:
+    """The :class:`RunContext` a simulation command runs under.
+
+    Built from the ``--trace-out``/``--sample-every``, telemetry
+    (``--live``/``--metrics-port``/``--metrics-out``) and engine
+    (``--workers``/``--cache-dir``) flags, and torn down on exit: the
+    shared tracer is closed (or, under ``--workers N > 1``, where each
+    job writes its own shard ``<out>.<fingerprint>.jsonl`` inside its
+    worker, the shard family is reported) and then the telemetry stops.
+    Progress lines are on only when engine flags or ``--live`` are set,
+    so the default serial path prints exactly what it always did.
+    """
+    workers = getattr(args, "workers", None) or 1
+    tracer: Optional[Tracer] = None
+    trace_spec: Optional[TraceSpec] = None
+    trace_out = getattr(args, "trace_out", None)
+    if trace_out:
+        sample_every = getattr(args, "sample_every", 1) or 1
+        if workers > 1:
+            trace_spec = TraceSpec(base=trace_out, sample_every=sample_every)
+        else:
+            try:
+                tracer = Tracer(sample_every=sample_every, sink=trace_out)
+            except OSError as exc:
+                raise SystemExit(
+                    f"repro: cannot open trace sink {trace_out!r}: {exc}")
+    telemetry: Optional[_Telemetry] = None
+    try:
+        telemetry = _Telemetry(args)
+        progress = None
+        if (telemetry.live_status is not None or workers > 1
+                or getattr(args, "cache_dir", None)):
+            progress = telemetry.reporter = _ProgressReporter(
+                live=telemetry.live_status)
+        yield RunContext(tracer=tracer, trace_spec=trace_spec,
+                         beat=telemetry.beat, metrics=telemetry.registry,
+                         progress=progress)
+    finally:
+        if tracer is not None:
+            tracer.close()
+        if trace_spec is not None:
+            print(f"repro: {len(trace_spec.shards())} trace shard(s) at "
+                  f"{trace_spec.base}.<fingerprint>.jsonl "
+                  f"(merge with: repro trace view {trace_spec.base}.*.jsonl)",
+                  file=sys.stderr)
+        if telemetry is not None:
+            telemetry.finish()
+
+
 def _write_report_out(args, *docs, label: str) -> None:
     """``--report-out FILE``: fold this command's documents into a
     self-contained HTML report (see ``repro report build``)."""
@@ -371,21 +377,13 @@ def cmd_configs(_args) -> None:
 
 
 def cmd_run(args) -> None:
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    try:
+    with _run_context(args) as ctx:
         result = run_workload(args.workload, args.config,
                               accesses=args.accesses, warmup=args.warmup,
                               config=_system_config(args), seed=args.seed,
-                              interval=_json_interval(args), tracer=tracer,
-                              trace_spec=trace_spec,
+                              interval=_json_interval(args),
                               executor=_executor(args), cache=_cache(args),
-                              progress=_progress(args, telemetry),
-                              metrics=telemetry.registry,
-                              beat=telemetry.beat)
-    finally:
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
+                              ctx=ctx)
     doc = result.to_json_dict()
     doc["config"] = args.config
     _write_report_out(args, doc, label=f"run {args.workload}/{args.config}")
@@ -408,21 +406,13 @@ def cmd_run(args) -> None:
 
 def cmd_compare(args) -> None:
     configs = args.configs.split(",") if args.configs else list(MMU_CONFIGS)
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    try:
+    with _run_context(args) as ctx:
         row = compare_configs(args.workload, mmu_names=configs,
                               accesses=args.accesses, warmup=args.warmup,
                               config=_system_config(args), seed=args.seed,
-                              interval=_json_interval(args), tracer=tracer,
-                              trace_spec=trace_spec,
+                              interval=_json_interval(args),
                               executor=_executor(args), cache=_cache(args),
-                              progress=_progress(args, telemetry),
-                              metrics=telemetry.registry,
-                              beat=telemetry.beat)
-    finally:
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
+                              ctx=ctx)
     normalized = row.normalized(configs[0])
     doc = {"schema": "repro.compare/v1",
            "workload": args.workload,
@@ -440,22 +430,13 @@ def cmd_compare(args) -> None:
 
 def cmd_sweep(args) -> None:
     sizes = [int(s) for s in args.sizes.split(",")]
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    try:
+    with _run_context(args) as ctx:
         results = sweep_delayed_tlb(args.workload, sizes,
                                     accesses=args.accesses, warmup=args.warmup,
                                     seed=args.seed,
                                     interval=_json_interval(args),
-                                    tracer=tracer, trace_spec=trace_spec,
                                     executor=_executor(args),
-                                    cache=_cache(args),
-                                    progress=_progress(args, telemetry),
-                                    metrics=telemetry.registry,
-                                    beat=telemetry.beat)
-    finally:
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
+                                    cache=_cache(args), ctx=ctx)
     mpkis = [r.tlb_mpki() for r in results]
     doc = {"schema": "repro.sweep/v1",
            "workload": args.workload,
@@ -484,21 +465,13 @@ def cmd_profile(args) -> None:
     if getattr(args, "sizes", None):
         _profile_sweep(args)
         return
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    try:
+    with _run_context(args) as ctx:
         result = run_workload(args.workload, args.config,
                               accesses=args.accesses, warmup=args.warmup,
                               config=_system_config(args), seed=args.seed,
                               interval=args.interval or max(1, args.accesses // 10),
-                              tracer=tracer, trace_spec=trace_spec,
                               executor=_executor(args), cache=_cache(args),
-                              progress=_progress(args, telemetry),
-                              metrics=telemetry.registry,
-                              beat=telemetry.beat)
-    finally:
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
+                              ctx=ctx)
     if args.json:
         doc = result.to_json_dict()
         doc["config"] = args.config
@@ -541,9 +514,7 @@ PROFILE_SWEEP_FIELD = "delayed_tlb.entries"
 def _profile_sweep(args) -> None:
     """``profile --sizes``: aggregated sweep over delayed-TLB entries."""
     sizes = [int(s) for s in args.sizes.split(",")]
-    telemetry = _Telemetry(args)
-    tracer, trace_spec = _trace_setup(args)
-    try:
+    with _run_context(args) as ctx:
         by_size = sweep_config(args.workload, args.config,
                                PROFILE_SWEEP_FIELD, sizes,
                                base_config=_system_config(args),
@@ -551,14 +522,8 @@ def _profile_sweep(args) -> None:
                                seed=args.seed,
                                interval=args.interval
                                or max(1, args.accesses // 10),
-                               tracer=tracer, trace_spec=trace_spec,
                                executor=_executor(args), cache=_cache(args),
-                               progress=_progress(args, telemetry),
-                               metrics=telemetry.registry,
-                               beat=telemetry.beat)
-    finally:
-        _finish_trace(tracer, trace_spec)
-        telemetry.finish()
+                               ctx=ctx)
     results = [by_size[size] for size in sizes]
     aggregate = aggregate_results(results)
     if args.json:
@@ -689,9 +654,9 @@ def cmd_bench(args) -> Optional[int]:
             warmup=(args.warmup if args.warmup is not None
                     else bench.DEFAULT_WARMUP),
             seed=args.seed if args.seed is not None else bench.DEFAULT_SEED)
-        entries = bench.run_suite(jobs, executor=_executor(args),
-                                  cache=_cache(args),
-                                  progress=_progress(args))
+        with _run_context(args) as ctx:
+            entries = bench.run_suite(jobs, executor=_executor(args),
+                                      cache=_cache(args), ctx=ctx)
         doc = bench.make_baseline(entries)
         path = bench.save_baseline(doc, args.out)
         print(f"recorded {len(entries)} benchmark(s) -> {path}")
@@ -730,9 +695,9 @@ def cmd_bench(args) -> Optional[int]:
                 "repro: baseline has no re-runnable benchmarks (no job "
                 "parameters recorded); pass --current to compare against "
                 "a pre-recorded document")
-        entries = bench.run_suite(jobs, executor=_executor(args),
-                                  cache=_cache(args),
-                                  progress=_progress(args))
+        with _run_context(args) as ctx:
+            entries = bench.run_suite(jobs, executor=_executor(args),
+                                      cache=_cache(args), ctx=ctx)
         current = bench.make_baseline(entries)
     report = bench.compare_baselines(
         baseline, current, threshold_pct=args.threshold,
@@ -1052,11 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", help="profile a workload's address stream")
     add_common(workload_parser)
 
-    # Deprecated spelling of `trace workload`, kept for compatibility.
-    analyze_parser = sub.add_parser("analyze", help="profile a trace "
-                                    "(alias of `trace workload`)")
-    add_common(analyze_parser)
-
     bench_parser = sub.add_parser(
         "bench", help="benchmark baselines and the regression gate")
     bench_sub = bench_parser.add_subparsers(dest="bench_command",
@@ -1245,7 +1205,6 @@ HANDLERS = {
     "db": cmd_db,
     "report": cmd_report,
     "serve": cmd_serve,
-    "analyze": cmd_analyze,
     "experiments": cmd_experiments,
 }
 

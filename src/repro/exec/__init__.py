@@ -17,15 +17,18 @@ A failing job never kills a sweep: executors capture the exception as a
 structured :class:`JobError` and the other points complete.  An opt-in
 :class:`ResultCache` (``--cache-dir``) persists ``repro.result/v1``
 documents keyed by job fingerprint, so re-running a sweep only
-simulates the points whose inputs changed.
+simulates the points whose inputs changed.  Tracing, heartbeats,
+timeouts, metrics and progress travel together as one
+:class:`RunContext` (``ctx=``).
 
 See ``docs/execution.md`` for the full model.
 """
 
 from repro.exec.cache import ResultCache, encode_document, result_document
+from repro.exec.context import RunContext
 from repro.exec.executors import ParallelExecutor, SerialExecutor, run_job
-from repro.exec.job import (JOB_SCHEMA, CancelPulse, Job, JobCancelled,
-                            JobError, JobFailedError)
+from repro.exec.job import (JOB_SCHEMA, Job, JobCancelled, JobError,
+                            JobFailedError)
 from repro.exec.plan import ExperimentPlan, PlanResults
 
 __all__ = [
@@ -34,9 +37,9 @@ __all__ = [
     "JobCancelled",
     "JobError",
     "JobFailedError",
-    "CancelPulse",
     "ExperimentPlan",
     "PlanResults",
+    "RunContext",
     "SerialExecutor",
     "ParallelExecutor",
     "ResultCache",

@@ -1,8 +1,8 @@
 """Pluggable executors: serial (default) and process-pool parallel.
 
-Every submission funnels through one place — :func:`_mark_run_start` —
-which is now the single home of the ``run_start`` tracer mark that
-``compare_configs`` and ``sweep_delayed_tlb`` used to duplicate.
+Every job runs through one function — :func:`run_job` — which is the
+single home of the ``run_start`` tracer mark that brackets each job in
+a trace stream.
 
 Executors never raise for a failing job: each outcome is either a
 ``SimulationResult`` or a structured :class:`JobError`, so one
@@ -13,33 +13,33 @@ Outcomes are returned in submission order and every job seeds its own
 fresh kernel, so parallel output is bit-identical to serial output
 (pinned by the determinism test in ``tests/test_exec.py``).
 
-Per-access tracing crosses the process boundary via *sharded sinks*: a
-live ``Tracer`` holds an open file handle and is given only to in-
-process (serial) execution, while a picklable
+Observation reaches a job through its :class:`~repro.exec.context.
+RunContext`.  Per-access tracing crosses the process boundary via
+*sharded sinks*: a live ``Tracer`` holds an open file handle and is
+accepted only by in-process (serial) execution, while a picklable
 :class:`~repro.obs.tracer.TraceSpec` describes a family of per-job
-shards — each worker opens ``<base>.<fingerprint>.jsonl`` itself, writes
-a ``run_start`` mark, records its own job, and closes.  The shard set of
-a parallel run is identical to that of a serial run of the same plan.
+shards — each worker opens ``<base>.<fingerprint>.jsonl`` itself,
+writes a ``run_start`` mark, records its own job, and closes.  The
+shard set of a parallel run is identical to that of a serial run of
+the same plan.
 
-Live progress crosses the same boundary via a
-:class:`~repro.obs.heartbeat.BeatSpec`: the worker builds a per-job
-:class:`~repro.obs.heartbeat.HeartbeatPulse` from it, the simulator
-fires the pulse every N timed accesses, and a terminal beat is emitted
-when the job returns — whether it succeeded or not, so the parent's
-monitor always sees closure.
+Live progress and deadlines cross the same boundary via the context's
+``beat`` (a :class:`~repro.obs.heartbeat.BeatSpec`) and ``timeout``:
+the worker builds one :class:`~repro.obs.heartbeat.HeartbeatPulse` per
+job, the simulator fires it every N timed accesses, and a terminal beat
+is emitted when the job returns — whether it succeeded or not, so the
+parent's monitor always sees closure.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import time
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
-from repro.exec.job import CancelPulse, Job, JobError
+from repro.exec.context import NO_CONTEXT, RunContext
+from repro.exec.job import Job, JobError
 
 if TYPE_CHECKING:
-    from repro.obs.heartbeat import BeatSpec
-    from repro.obs.tracer import Tracer, TraceSpec
     from repro.sim.results import SimulationResult
 
 #: What one job yields: a result, or its captured failure.
@@ -50,39 +50,31 @@ Outcome = Union["SimulationResult", JobError]
 JobCallback = Callable[[Job, Outcome], None]
 
 
-def _mark_run_start(tracer: "Optional[Tracer]", job: Job) -> None:
-    """Bracket one job in a shared trace stream (single submission path)."""
-    if tracer is not None and tracer.active:
-        tracer.mark("run_start", **job.mark_detail())
-
-
-def run_job(job: Job, tracer: "Optional[Tracer]" = None,
-            trace_spec: "Optional[TraceSpec]" = None,
-            beat: "Optional[BeatSpec]" = None,
-            timeout: Optional[float] = None,
-            cancel: Optional[Callable[[], bool]] = None) -> Outcome:
+def run_job(job: Job, ctx: Optional[RunContext] = None) -> Outcome:
     """Run one job, capturing any failure as a :class:`JobError`.
 
     Module-level so :class:`ParallelExecutor` can pickle it into worker
-    processes.  With a ``trace_spec``, the job records into its own
-    shard — opened here, inside whichever process runs the job, and
-    closed before the outcome is returned — bracketed by a ``run_start``
-    mark so every shard is a self-describing single-run trace.  With a
-    ``beat``, the job pushes periodic heartbeats plus one terminal beat
-    (success or failure) over the spec's queue.
+    processes.  With a ``trace_spec`` in ``ctx``, the job records into
+    its own shard — opened here, inside whichever process runs the job,
+    and closed before the outcome is returned; otherwise it records
+    into the context's shared ``tracer``, if any.  Either way the job is
+    bracketed by a ``run_start`` mark.
 
-    ``timeout`` (seconds, measured from when this job *starts*
-    executing, not from submission) and ``cancel`` (an in-process
-    callable polled periodically) abort the simulation mid-run through
-    a :class:`CancelPulse`; the outcome is a :class:`JobError` with
-    ``error_type == "JobCancelled"``.
+    The context's ``beat`` and ``timeout`` become one pulse
+    (:meth:`RunContext.pulse_for`): periodic heartbeats plus one
+    terminal beat (success or failure), and a deadline measured from
+    when this job *starts* executing, not from submission.  A job past
+    its deadline is abandoned mid-run; the outcome is a
+    :class:`JobError` with ``error_type == "JobCancelled"``.  An empty
+    context gives the simulator no pulse and no tracer.
     """
-    pulse = beat.pulse_for(job) if beat is not None else None
-    if timeout is not None or cancel is not None:
-        deadline = time.time() + timeout if timeout is not None else None
-        pulse = CancelPulse(pulse, deadline=deadline, cancel=cancel)
-    if trace_spec is not None:
-        tracer = trace_spec.open(job.fingerprint())
+    ctx = ctx or NO_CONTEXT
+    pulse = ctx.pulse_for(job)
+    if ctx.trace_spec is not None:
+        tracer = ctx.trace_spec.open(job.fingerprint())
+    else:
+        tracer = ctx.tracer
+    if tracer is not None and tracer.active:
         tracer.mark("run_start", **job.mark_detail())
     try:
         result = job.run(tracer=tracer, pulse=pulse)
@@ -96,7 +88,7 @@ def run_job(job: Job, tracer: "Optional[Tracer]" = None,
                          result.cycles, ok=True)
         return result
     finally:
-        if trace_spec is not None and tracer is not None:
+        if ctx.trace_spec is not None:
             tracer.close()
 
 
@@ -112,20 +104,12 @@ class SerialExecutor:
         #: reach an executor, which is what the cache tests count.
         self.submitted = 0
 
-    def run(self, jobs: Sequence[Job], tracer: "Optional[Tracer]" = None,
-            on_done: Optional[JobCallback] = None,
-            trace_spec: "Optional[TraceSpec]" = None,
-            beat: "Optional[BeatSpec]" = None,
-            timeout: Optional[float] = None,
-            cancel: Optional[Callable[[], bool]] = None) -> List[Outcome]:
+    def run(self, jobs: Sequence[Job], on_done: Optional[JobCallback] = None,
+            ctx: Optional[RunContext] = None) -> List[Outcome]:
         outcomes: List[Outcome] = []
         for job in jobs:
-            if trace_spec is None:
-                _mark_run_start(tracer, job)   # shards self-describe
             self.submitted += 1
-            outcome = run_job(job, tracer=None if trace_spec else tracer,
-                              trace_spec=trace_spec, beat=beat,
-                              timeout=timeout, cancel=cancel)
+            outcome = run_job(job, ctx)
             outcomes.append(outcome)
             if on_done is not None:
                 on_done(job, outcome)
@@ -140,6 +124,11 @@ class ParallelExecutor:
     submission order regardless of completion order.  A worker that
     dies outright (killed, pool broken) yields a :class:`JobError` for
     its job rather than an exception.
+
+    Only the picklable part of the context (``trace_spec``, ``beat``,
+    ``timeout``) reaches the workers.  A live ``tracer`` cannot follow
+    its jobs there, so a context carrying one is rejected with
+    ``ValueError``; trace a parallel plan with a ``TraceSpec``.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -148,12 +137,13 @@ class ParallelExecutor:
         self.workers = workers
         self.submitted = 0
 
-    def run(self, jobs: Sequence[Job], tracer: "Optional[Tracer]" = None,
-            on_done: Optional[JobCallback] = None,
-            trace_spec: "Optional[TraceSpec]" = None,
-            beat: "Optional[BeatSpec]" = None,
-            timeout: Optional[float] = None,
-            cancel: Optional[Callable[[], bool]] = None) -> List[Outcome]:
+    def run(self, jobs: Sequence[Job], on_done: Optional[JobCallback] = None,
+            ctx: Optional[RunContext] = None) -> List[Outcome]:
+        if ctx is not None and ctx.tracer is not None:
+            raise ValueError(
+                "a live Tracer cannot record jobs run in worker processes; "
+                "pass a TraceSpec (ctx.trace_spec) for sharded capture")
+        worker_ctx = ctx.for_worker() if ctx is not None else None
         jobs = list(jobs)
         if not jobs:
             return []
@@ -162,15 +152,8 @@ class ParallelExecutor:
                 max_workers=self.workers) as pool:
             futures = {}
             for index, job in enumerate(jobs):
-                if trace_spec is None:
-                    _mark_run_start(tracer, job)   # shards self-describe
                 self.submitted += 1
-                # ``timeout`` pickles as-is; ``cancel`` must be a
-                # module-level (picklable) callable to cross the pool.
-                futures[pool.submit(run_job, job,
-                                    trace_spec=trace_spec,
-                                    beat=beat, timeout=timeout,
-                                    cancel=cancel)] = index
+                futures[pool.submit(run_job, job, worker_ctx)] = index
             for future in concurrent.futures.as_completed(futures):
                 index = futures[future]
                 job = jobs[index]

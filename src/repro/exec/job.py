@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 import traceback as tb
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from repro.common.params import SystemConfig, config_from_dict
 from repro.obs.manifest import MANIFEST_SCHEMA, config_fingerprint
@@ -223,51 +222,7 @@ class JobFailedError(RuntimeError):
 
 
 class JobCancelled(RuntimeError):
-    """A running job was aborted mid-simulation (timeout or explicit
-    cancellation).  Captured like any failure — the outcome is a
-    :class:`JobError` with ``error_type == "JobCancelled"`` — so one
+    """A running job was aborted mid-simulation by its deadline (the
+    context's ``timeout``).  Captured like any failure — the outcome is
+    a :class:`JobError` with ``error_type == "JobCancelled"`` — so one
     cancelled point never kills a batch."""
-
-
-class CancelPulse:
-    """The engine's cancellation hook, riding the simulator's pulse.
-
-    The simulator already supports one periodic callback (the heartbeat
-    protocol: an ``every`` attribute plus ``__call__(done, total,
-    instructions, cycles)``), so cancellation costs nothing new on the
-    hot path: this wraps an optional inner pulse, checks a wall-clock
-    ``deadline`` (``time.time()``, picklable — it crosses into pool
-    workers) and/or an in-process ``cancel`` callable every ``every``
-    timed accesses, raises :class:`JobCancelled` when either trips, and
-    otherwise delegates.  A simulation is abandoned within ``every``
-    accesses of the trip, not at the end of the run.
-    """
-
-    #: Check cadence when no inner pulse dictates one.
-    DEFAULT_EVERY = 1024
-
-    def __init__(self, inner: Optional[Any] = None,
-                 deadline: Optional[float] = None,
-                 cancel: Optional[Callable[[], bool]] = None,
-                 every: Optional[int] = None) -> None:
-        inner_every = getattr(inner, "every", 0) if inner is not None else 0
-        self.every = every or inner_every or self.DEFAULT_EVERY
-        self._inner = inner
-        self._deadline = deadline
-        self._cancel = cancel
-
-    def __call__(self, done: int, total: int, instructions: int,
-                 cycles: float) -> None:
-        if self._cancel is not None and self._cancel():
-            raise JobCancelled(f"cancelled after {done} timed accesses")
-        if self._deadline is not None and time.time() >= self._deadline:
-            raise JobCancelled(
-                f"deadline exceeded after {done} timed accesses")
-        if self._inner is not None:
-            self._inner(done, total, instructions, cycles)
-
-    def finish(self, accesses: int, instructions: int, cycles: float,
-               ok: bool = True) -> None:
-        """Delegate the terminal beat (no-op without an inner pulse)."""
-        if self._inner is not None:
-            self._inner.finish(accesses, instructions, cycles, ok=ok)

@@ -12,22 +12,15 @@ it.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.exec.context import NO_CONTEXT, RunContext
 from repro.exec.executors import Outcome, SerialExecutor
 from repro.exec.job import Job, JobError, JobFailedError
 
 if TYPE_CHECKING:
     from repro.exec.cache import ResultCache
-    from repro.obs.heartbeat import BeatSpec
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import Tracer, TraceSpec
     from repro.sim.results import SimulationResult
-
-#: Progress callback: ``progress(done, total, job, status)`` with
-#: ``status`` one of ``"ok"``, ``"cached"``, ``"error"``.
-ProgressCallback = Callable[[int, int, Job, str], None]
 
 
 class PlanResults:
@@ -104,31 +97,25 @@ class ExperimentPlan:
         return len(self._jobs)
 
     def run(self, executor=None, cache: "Optional[ResultCache]" = None,
-            tracer: "Optional[Tracer]" = None,
-            progress: Optional[ProgressCallback] = None,
-            trace_spec: "Optional[TraceSpec]" = None,
-            metrics: "Optional[MetricsRegistry]" = None,
-            beat: "Optional[BeatSpec]" = None) -> PlanResults:
+            ctx: Optional[RunContext] = None) -> PlanResults:
         """Execute every unique job and return their outcomes.
 
         Cache hits are resolved first and never reach the executor, so a
         cache-warm rerun of a sweep performs zero new simulations.  Only
         successful results are written back to the cache.
 
-        ``tracer`` records every executed job into one shared in-process
-        stream (serial execution); ``trace_spec`` records each job into
-        its own shard, which also works under a parallel executor (the
-        shard is opened inside the worker).  Cache hits produce no trace
-        either way — nothing was simulated.
-
-        ``beat`` streams live heartbeats from whichever process runs a
-        job; ``metrics`` receives the plan's **final** state via
+        ``ctx`` goes to the executor unchanged; cache hits produce no
+        trace and no heartbeat — nothing was simulated.  The plan itself
+        reads two fields: ``ctx.progress`` is told as each job resolves,
+        and ``ctx.metrics`` receives the plan's **final** state via
         :func:`~repro.obs.metrics.fold_plan` once every outcome is in —
         a deterministic fold in plan order, so the end-of-plan registry
         snapshot is byte-identical between serial and parallel
         execution (live heartbeat gauges are wiped by the fold).
         """
         executor = executor or SerialExecutor()
+        ctx = ctx or NO_CONTEXT
+        progress, metrics = ctx.progress, ctx.metrics
         total = len(self._jobs)
         outcomes: Dict[str, Outcome] = {}
         pending: List[Job] = []
@@ -155,8 +142,7 @@ class ExperimentPlan:
                 progress(done, total, job,
                          "error" if isinstance(outcome, JobError) else "ok")
 
-        executor.run(pending, tracer=tracer, on_done=on_done,
-                     trace_spec=trace_spec, beat=beat)
+        executor.run(pending, on_done=on_done, ctx=ctx)
         if metrics is not None and metrics.enabled:
             from repro.obs.metrics import fold_plan
 

@@ -64,46 +64,58 @@ class Heartbeat:
 
 
 class HeartbeatPulse:
-    """The per-job sender: callable the simulator invokes periodically.
+    """A job's one simulator pulse: heartbeats, deadline, terminal beat.
 
     Satisfies the simulator's pulse protocol — an ``every`` attribute
     plus ``__call__(done, total, instructions, cycles)`` — and adds
     :meth:`finish` for the terminal beat the executor emits once the
-    job returns.  A full queue never blocks simulation: beats are
-    advisory, so an undrained channel silently drops them.
+    job returns.  Each call first checks the optional wall-clock
+    ``deadline`` (``time.time()``, picklable) and raises
+    :class:`~repro.exec.job.JobCancelled` once it has passed, so a
+    timed-out simulation is abandoned within ``every`` accesses.  With
+    ``queue=None`` the pulse only checks the deadline.  A full queue
+    never blocks simulation: beats are advisory, so an undrained
+    channel silently drops them.
     """
 
     def __init__(self, queue: Any, job: "Job",
-                 every: int = DEFAULT_BEAT_EVERY) -> None:
+                 every: int = DEFAULT_BEAT_EVERY,
+                 deadline: Optional[float] = None) -> None:
         self._queue = queue
         self.every = every
+        self._deadline = deadline
         self._job = job.fingerprint()
         self._workload = job.workload_name
         self._mmu = job.mmu
         self._t0 = time.perf_counter()
 
-    def _put(self, beat: Heartbeat) -> None:
+    def _put(self, done: int, total: int, instructions: int,
+             cycles: float, final: bool = False, ok: bool = True) -> None:
+        if self._queue is None:
+            return
         try:
-            self._queue.put_nowait(beat)
+            self._queue.put_nowait(Heartbeat(
+                job=self._job, workload=self._workload, mmu=self._mmu,
+                done=done, total=total, instructions=instructions,
+                cycles=cycles, wall_s=time.perf_counter() - self._t0,
+                final=final, ok=ok, pid=os.getpid()))
         except (queue_mod.Full, OSError, ValueError):
             pass                           # advisory; never stall the job
 
     def __call__(self, done: int, total: int, instructions: int,
                  cycles: float) -> None:
-        self._put(Heartbeat(
-            job=self._job, workload=self._workload, mmu=self._mmu,
-            done=done, total=total, instructions=instructions,
-            cycles=cycles, wall_s=time.perf_counter() - self._t0,
-            pid=os.getpid()))
+        if self._deadline is not None and time.time() >= self._deadline:
+            from repro.exec.job import JobCancelled   # exec sits above obs
+
+            raise JobCancelled(
+                f"deadline exceeded after {done} timed accesses")
+        self._put(done, total, instructions, cycles)
 
     def finish(self, accesses: int, instructions: int, cycles: float,
                ok: bool = True) -> None:
         """Emit the terminal beat (job finished or failed)."""
-        self._put(Heartbeat(
-            job=self._job, workload=self._workload, mmu=self._mmu,
-            done=accesses, total=accesses, instructions=instructions,
-            cycles=cycles, wall_s=time.perf_counter() - self._t0,
-            final=True, ok=ok, pid=os.getpid()))
+        self._put(accesses, accesses, instructions, cycles, final=True,
+                  ok=ok)
 
 
 @dataclass
@@ -112,15 +124,12 @@ class BeatSpec:
 
     Carries the queue (a manager proxy pickles into pool workers; a
     plain ``queue.Queue`` works in-process) and the beat cadence;
-    :meth:`pulse_for` builds the per-job sender inside whichever
-    process runs the job.
+    :meth:`~repro.exec.context.RunContext.pulse_for` builds the per-job
+    :class:`HeartbeatPulse` inside whichever process runs the job.
     """
 
     queue: Any
     every: int = DEFAULT_BEAT_EVERY
-
-    def pulse_for(self, job: "Job") -> HeartbeatPulse:
-        return HeartbeatPulse(self.queue, job, every=self.every)
 
 
 def open_beat_channel(parallel: bool) -> Tuple[Any, Optional[Any]]:

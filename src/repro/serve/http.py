@@ -44,6 +44,12 @@ def _make_handler(service: JobService) -> type:
 
     class Handler(http.server.BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Buffer each response and flush it once per request, with
+        # Nagle off: an unbuffered writer sends headers and body
+        # separately, and on a keep-alive connection the second send
+        # waits for the client's delayed ACK (~40 ms per request).
+        wbufsize = -1
+        disable_nagle_algorithm = True
 
         # -------------------------------------------------------------- #
         # Plumbing

@@ -15,8 +15,8 @@ descriptions (the ``repro.job/v1`` wire format); the service
   jobs at a time and hands the batch to the configured executor — a
   :class:`~repro.exec.executors.ParallelExecutor` fans it across a
   process pool, amortising pool startup over the batch;
-* enforces a per-job ``job_timeout`` through the engine's
-  :class:`~repro.exec.job.CancelPulse` cancellation hook;
+* enforces a per-job ``job_timeout`` through the run context's
+  deadline, which rides each job's one simulator pulse;
 * **drains gracefully**: :meth:`begin_drain` rejects new work while
   :meth:`drain` waits for everything queued or running to finish — the
   ``repro serve`` CLI wires this to SIGTERM.
@@ -36,6 +36,7 @@ import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.exec.cache import encode_document, result_document
+from repro.exec.context import RunContext
 from repro.exec.executors import SerialExecutor
 from repro.exec.job import Job, JobError
 from repro.obs.metrics import MetricsRegistry
@@ -138,7 +139,7 @@ class JobService:
         self.executor = executor if executor is not None else SerialExecutor()
         self.max_queue = max_queue
         self.batch_max = batch_max
-        self.job_timeout = job_timeout
+        self._ctx = RunContext(timeout=job_timeout)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.retry_after_s = retry_after_s
         self._poll_s = poll_s
@@ -362,8 +363,7 @@ class JobService:
         self._m_batches.inc()
         try:
             self.executor.run([record.job for record in batch],
-                              on_done=self._job_done,
-                              timeout=self.job_timeout)
+                              on_done=self._job_done, ctx=self._ctx)
         except Exception as exc:            # executor itself died
             with self._cond:
                 for record in batch:

@@ -10,9 +10,10 @@ descriptions into an :class:`~repro.exec.plan.ExperimentPlan` and run
 it through an executor.  Every helper therefore accepts the engine's
 knobs — ``executor`` (e.g. ``ParallelExecutor(workers=4)`` to fan the
 independent points across processes), ``cache`` (a ``ResultCache`` so
-reruns only simulate changed points) and ``progress`` (a callback fed
-as points finish).  Defaults — serial, uncached — behave exactly like
-the historical hand-rolled loops.
+reruns only simulate changed points) and ``ctx`` (a
+:class:`~repro.exec.context.RunContext` carrying tracing, heartbeats,
+metrics and a progress callback).  Defaults — serial, uncached,
+unobserved — behave exactly like the historical hand-rolled loops.
 
 MMU configuration names:
 
@@ -38,10 +39,8 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro.common.params import SystemConfig
 from repro.exec.cache import ResultCache
 from repro.exec.job import Job
-from repro.exec.plan import ExperimentPlan, ProgressCallback
-from repro.obs.heartbeat import BeatSpec
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, TraceSpec
+from repro.exec.context import RunContext
+from repro.exec.plan import ExperimentPlan
 from repro.core.conventional import ConventionalMmu
 from repro.core.hybrid import HybridMmu
 from repro.core.ideal import IdealMmu
@@ -100,27 +99,22 @@ def run_workload(workload: Union[str, WorkloadSpec], mmu_name: str,
                  config: Optional[SystemConfig] = None,
                  seed: int = 42,
                  interval: Optional[int] = None,
-                 tracer: Optional[Tracer] = None,
-                 trace_spec: Optional[TraceSpec] = None,
                  executor=None,
                  cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressCallback] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 beat: Optional[BeatSpec] = None
+                 ctx: Optional[RunContext] = None
                  ) -> SimulationResult:
     """Simulate one (workload, MMU) point on a fresh system.
 
     ``baseline_thp`` runs on a transparent-huge-page kernel (2 MB-aligned
     eager allocations); every other configuration uses the standard one.
-    ``interval`` and ``tracer`` enable windowed stat series and pipeline
-    event tracing (see :mod:`repro.obs`); both default to off.
+    ``interval`` and a tracer in ``ctx`` enable windowed stat series
+    and pipeline event tracing (see :mod:`repro.obs`); both default to
+    off.
     """
     job = Job(workload=workload, mmu=mmu_name, config=config,
               accesses=accesses, warmup=warmup, seed=seed, interval=interval)
     results = ExperimentPlan([job]).run(executor=executor, cache=cache,
-                                        tracer=tracer, progress=progress,
-                                        trace_spec=trace_spec,
-                                        metrics=metrics, beat=beat)
+                                        ctx=ctx)
     return results.result(job)
 
 
@@ -130,18 +124,14 @@ def compare_configs(workload: Union[str, WorkloadSpec],
                     config: Optional[SystemConfig] = None,
                     seed: int = 42,
                     interval: Optional[int] = None,
-                    tracer: Optional[Tracer] = None,
-                    trace_spec: Optional[TraceSpec] = None,
                     executor=None,
                     cache: Optional[ResultCache] = None,
-                    progress: Optional[ProgressCallback] = None,
-                    metrics: Optional[MetricsRegistry] = None,
-                    beat: Optional[BeatSpec] = None
+                    ctx: Optional[RunContext] = None
                     ) -> ComparisonRow:
     """Run one workload under several MMU configurations.
 
-    A shared ``tracer`` records every configuration's events into one
-    stream; the engine brackets each run with a ``run_start`` mark so
+    A shared tracer in ``ctx`` records every configuration's events
+    into one stream; the engine brackets each run with a ``run_start`` mark so
     the stream stays attributable.
     """
     if isinstance(workload, str):
@@ -153,9 +143,7 @@ def compare_configs(workload: Union[str, WorkloadSpec],
                           interval=interval)
             for mmu_name in mmu_names}
     plan = ExperimentPlan(jobs.values())
-    outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        progress=progress, trace_spec=trace_spec,
-                        metrics=metrics, beat=beat)
+    outcomes = plan.run(executor=executor, cache=cache, ctx=ctx)
     results: Dict[str, SimulationResult] = {
         mmu_name: outcomes.result(job) for mmu_name, job in jobs.items()}
     return ComparisonRow(name, results)
@@ -166,13 +154,9 @@ def sweep_delayed_tlb(workload: Union[str, WorkloadSpec],
                       accesses: int = 100_000, warmup: int = 20_000,
                       seed: int = 42,
                       interval: Optional[int] = None,
-                      tracer: Optional[Tracer] = None,
-                      trace_spec: Optional[TraceSpec] = None,
                       executor=None,
                       cache: Optional[ResultCache] = None,
-                      progress: Optional[ProgressCallback] = None,
-                      metrics: Optional[MetricsRegistry] = None,
-                      beat: Optional[BeatSpec] = None
+                      ctx: Optional[RunContext] = None
                       ) -> List[SimulationResult]:
     """Figure 4 helper: hybrid+delayed-TLB across TLB sizes."""
     jobs = [Job(workload=workload, mmu="hybrid_tlb",
@@ -182,7 +166,5 @@ def sweep_delayed_tlb(workload: Union[str, WorkloadSpec],
                 tags=(("delayed_tlb_entries", entries),))
             for entries in entry_counts]
     plan = ExperimentPlan(jobs)
-    outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        progress=progress, trace_spec=trace_spec,
-                        metrics=metrics, beat=beat)
+    outcomes = plan.run(executor=executor, cache=cache, ctx=ctx)
     return [outcomes.result(job) for job in jobs]

@@ -33,11 +33,10 @@ from repro.workloads.spec import LaidOutWorkload
 class Simulator:
     """Drives one workload through one MMU configuration."""
 
-    def __init__(self, mmu: MmuBase, timing: Optional[TimingModel] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, mmu: MmuBase,
+                 timing: Optional[TimingModel] = None) -> None:
         self.mmu = mmu
         self.timing = timing
-        self.tracer = tracer or NULL_TRACER
 
     def run(self, workload: LaidOutWorkload, accesses: int,
             warmup: int = 0, seed: Optional[int] = None,
@@ -55,8 +54,8 @@ class Simulator:
 
         ``interval`` (timed accesses per window) records delta snapshots
         of every counter, yielding ``ceil(accesses / interval)`` windows.
-        ``tracer`` overrides the one given at construction; tracing never
-        alters simulated behavior, only records it.
+        ``tracer`` records per-access pipeline events; tracing never alters
+        simulated behavior, only records it.
 
         ``pulse`` is the live-telemetry hook: a callable with an
         ``every`` attribute (e.g. :class:`~repro.obs.heartbeat.
@@ -69,7 +68,8 @@ class Simulator:
         timing = self.timing or TimingModel(self.mmu.config.core, mlp=spec.mlp)
         trace = workload.trace(warmup + accesses, seed=seed)
 
-        tracer = tracer if tracer is not None else self.tracer
+        if tracer is None:
+            tracer = NULL_TRACER
         tracing = tracer.active
         if tracing:
             self.mmu.attach_tracer(tracer)

@@ -8,9 +8,9 @@ size) sweeps to every parameter in the system.
 
 Both sweeps are plan builders over the execution engine
 (:mod:`repro.exec`): each point becomes a frozen ``Job``, identical
-points dedupe, and the ``executor``/``cache``/``progress`` knobs allow
-parallel execution and fingerprint-keyed result reuse (see
-``docs/execution.md``).
+points dedupe, the ``executor``/``cache`` knobs allow parallel
+execution and fingerprint-keyed result reuse, and ``ctx`` carries
+tracing, heartbeats, metrics and progress (see ``docs/execution.md``).
 
 Example::
 
@@ -28,10 +28,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 from repro.common.params import SystemConfig
 from repro.exec.cache import ResultCache
 from repro.exec.job import Job
-from repro.exec.plan import ExperimentPlan, ProgressCallback
-from repro.obs.heartbeat import BeatSpec
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, TraceSpec
+from repro.exec.context import RunContext
+from repro.exec.plan import ExperimentPlan
 from repro.sim.results import SimulationResult
 from repro.workloads.spec import WorkloadSpec
 
@@ -69,13 +67,9 @@ def sweep_config(workload: Union[str, WorkloadSpec], mmu_name: str,
                  accesses: int = 30_000, warmup: int = 10_000,
                  seed: int = 42,
                  interval: Optional[int] = None,
-                 tracer: Optional[Tracer] = None,
-                 trace_spec: Optional[TraceSpec] = None,
                  executor=None,
                  cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressCallback] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 beat: Optional[BeatSpec] = None
+                 ctx: Optional[RunContext] = None
                  ) -> Dict[Any, SimulationResult]:
     """Run ``workload`` under ``mmu_name`` for each value of one field."""
     base = base_config or SystemConfig()
@@ -86,9 +80,7 @@ def sweep_config(workload: Union[str, WorkloadSpec], mmu_name: str,
                        tags=((field_path, value),))
             for value in values}
     plan = ExperimentPlan(jobs.values())
-    outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        progress=progress, trace_spec=trace_spec,
-                        metrics=metrics, beat=beat)
+    outcomes = plan.run(executor=executor, cache=cache, ctx=ctx)
     return {value: outcomes.result(job) for value, job in jobs.items()}
 
 
@@ -98,13 +90,9 @@ def sweep_grid(workload: Union[str, WorkloadSpec], mmu_name: str,
                accesses: int = 30_000, warmup: int = 10_000,
                seed: int = 42,
                interval: Optional[int] = None,
-               tracer: Optional[Tracer] = None,
-               trace_spec: Optional[TraceSpec] = None,
                executor=None,
                cache: Optional[ResultCache] = None,
-               progress: Optional[ProgressCallback] = None,
-               metrics: Optional[MetricsRegistry] = None,
-               beat: Optional[BeatSpec] = None
+               ctx: Optional[RunContext] = None
                ) -> List[Dict[str, Any]]:
     """Cartesian-product sweep over several fields.
 
@@ -124,8 +112,6 @@ def sweep_grid(workload: Union[str, WorkloadSpec], mmu_name: str,
                   tags=tuple(params.items()))
         plan.add(job)
         points.append((params, job))
-    outcomes = plan.run(executor=executor, cache=cache, tracer=tracer,
-                        progress=progress, trace_spec=trace_spec,
-                        metrics=metrics, beat=beat)
+    outcomes = plan.run(executor=executor, cache=cache, ctx=ctx)
     return [{"params": params, "result": outcomes.result(job)}
             for params, job in points]

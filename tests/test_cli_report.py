@@ -131,7 +131,7 @@ class TestCliCommands:
         assert "1024" in out and "2048" in out
 
     def test_analyze(self, capsys):
-        assert main(["analyze", "stream"] + FAST) == 0
+        assert main(["trace", "workload", "stream"] + FAST) == 0
         out = capsys.readouterr().out
         assert "distinct pages=" in out
 

@@ -21,6 +21,7 @@ from repro.exec import (
     JobFailedError,
     ParallelExecutor,
     ResultCache,
+    RunContext,
     SerialExecutor,
 )
 from repro.obs.tracer import Tracer
@@ -133,8 +134,8 @@ class TestExperimentPlan:
             Job("stream", "baseline", **FAST),
             Job("stream", "no_such_mmu", **FAST),
         ])
-        plan.run(progress=lambda done, total, job, status:
-                 seen.append((done, total, status)))
+        plan.run(ctx=RunContext(progress=lambda done, total, job, status:
+                                seen.append((done, total, status))))
         assert seen == [(1, 2, "ok"), (2, 2, "error")]
 
     def test_single_submission_path_emits_run_start_marks(self):
@@ -142,7 +143,7 @@ class TestExperimentPlan:
         plan = ExperimentPlan([
             Job("stream", "baseline",
                 tags=(("delayed_tlb_entries", 512),), **FAST)])
-        plan.run(tracer=tracer)
+        plan.run(ctx=RunContext(tracer=tracer))
         marks = [e for e in tracer.events if e.stage == "mark"]
         assert marks and marks[0].detail["label"] == "run_start"
         assert marks[0].detail["workload"] == "stream"
@@ -438,24 +439,16 @@ class TestCancellation:
 
         outcome = run_job(Job("stream", "baseline",
                               accesses=10_000_000, warmup=100),
-                          timeout=0.05)
+                          RunContext(timeout=0.05))
         assert isinstance(outcome, JobError)
         assert outcome.error_type == "JobCancelled"
         assert "deadline" in outcome.message
 
-    def test_cancel_callable_aborts_serial_batch(self):
-        from repro.exec import run_job
-
-        outcome = run_job(Job("stream", "baseline",
-                              accesses=10_000_000, warmup=100),
-                          cancel=lambda: True)
-        assert isinstance(outcome, JobError)
-        assert outcome.error_type == "JobCancelled"
-
     def test_untimed_job_still_completes(self):
         from repro.exec import run_job
 
-        outcome = run_job(Job("stream", "baseline", **FAST), timeout=60.0)
+        outcome = run_job(Job("stream", "baseline", **FAST),
+                          RunContext(timeout=60.0))
         assert isinstance(outcome, SimulationResult)
 
     def test_parallel_executor_applies_per_job_deadline(self):
@@ -464,11 +457,83 @@ class TestCancellation:
         outcomes = {}
         ParallelExecutor(workers=2).run(
             jobs, on_done=lambda job, out:
-            outcomes.__setitem__(job.fingerprint(), out), timeout=0.05)
+            outcomes.__setitem__(job.fingerprint(), out),
+            ctx=RunContext(timeout=0.05))
         assert len(outcomes) == 2
         for outcome in outcomes.values():
             assert isinstance(outcome, JobError)
             assert outcome.error_type == "JobCancelled"
+
+
+class TestRunContext:
+    """What a context hands the simulator: nothing when empty, and at
+    most one pulse per job otherwise."""
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """``(tracer, pulse)`` of every ``Job.run`` call."""
+        calls = []
+        real_run = Job.run
+
+        def spy(job, tracer=None, pulse=None):
+            calls.append((tracer, pulse))
+            return real_run(job, tracer=tracer, pulse=pulse)
+
+        monkeypatch.setattr(Job, "run", spy)
+        return calls
+
+    @staticmethod
+    def assert_single_pulse(pulse):
+        from repro.obs.heartbeat import HeartbeatPulse
+
+        assert type(pulse) is HeartbeatPulse
+        assert not any(hasattr(value, "every")
+                       for value in vars(pulse).values())   # no inner pulse
+
+    def test_empty_context_reaches_job_run_disabled(self, received):
+        from repro.exec import run_job
+
+        job = Job("stream", "baseline", **FAST)
+        assert isinstance(run_job(job), SimulationResult)
+        assert isinstance(run_job(job, RunContext()), SimulationResult)
+        ExperimentPlan([job]).run(ctx=RunContext())
+        assert received == [(None, None)] * 3
+
+    def test_timeout_alone_gives_one_pulse(self, received):
+        from repro.exec import run_job
+        from repro.exec.context import DEADLINE_CHECK_EVERY
+
+        run_job(Job("stream", "baseline", **FAST), RunContext(timeout=60.0))
+        [(tracer, pulse)] = received
+        assert tracer is None
+        self.assert_single_pulse(pulse)
+        assert pulse.every == DEADLINE_CHECK_EVERY
+
+    def test_beat_and_timeout_share_one_pulse(self, received):
+        import queue
+
+        from repro.exec import run_job
+        from repro.obs.heartbeat import BeatSpec
+
+        channel = queue.Queue()
+        beat = BeatSpec(queue=channel, every=100)
+        outcome = run_job(Job("stream", "baseline", **FAST),
+                          RunContext(beat=beat, timeout=60.0))
+        assert isinstance(outcome, SimulationResult)
+        [(tracer, pulse)] = received
+        assert tracer is None
+        self.assert_single_pulse(pulse)
+        assert pulse.every == beat.every
+        beats = []
+        while not channel.empty():
+            beats.append(channel.get_nowait())
+        assert len(beats) == FAST["accesses"] // beat.every + 1
+        assert beats[-1].final and beats[-1].ok
+
+    def test_parallel_executor_rejects_live_tracer(self):
+        with pytest.raises(ValueError, match="TraceSpec"):
+            run_workload("stream", "baseline", executor=ParallelExecutor(2),
+                         ctx=RunContext(tracer=Tracer()), **FAST)
 
 
 class TestCacheConcurrentWriters:

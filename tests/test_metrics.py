@@ -11,7 +11,7 @@ import urllib.request
 import pytest
 
 from repro.bench.gate import GateReport, MetricDelta, attach_history
-from repro.exec import ParallelExecutor, SerialExecutor
+from repro.exec import ParallelExecutor, RunContext, SerialExecutor
 from repro.exec.job import Job, JobError
 from repro.exec.plan import ExperimentPlan
 from repro.obs.heartbeat import (BeatSpec, Heartbeat, HeartbeatMonitor,
@@ -273,8 +273,9 @@ class TestFold:
             monitor = HeartbeatMonitor(channel, registry=reg).start()
             try:
                 ExperimentPlan(jobs()).run(
-                    executor=executor, metrics=reg,
-                    beat=BeatSpec(queue=channel, every=100))
+                    executor=executor,
+                    ctx=RunContext(metrics=reg,
+                                   beat=BeatSpec(queue=channel, every=100)))
             finally:
                 monitor.stop()
                 if manager is not None:
@@ -309,7 +310,7 @@ class TestHeartbeat:
         job = Job(workload="gups", mmu="baseline", seed=1, **FAST)
         spec = BeatSpec(queue=channel, every=100)
         from repro.exec.executors import run_job
-        result = run_job(job, beat=spec)
+        result = run_job(job, RunContext(beat=spec))
         beats = []
         while not channel.empty():
             beats.append(channel.get_nowait())
@@ -325,7 +326,8 @@ class TestHeartbeat:
         channel = queue.Queue()
         job = Job(workload="gups", mmu="no_such_mmu", seed=1, **FAST)
         from repro.exec.executors import run_job
-        outcome = run_job(job, beat=BeatSpec(queue=channel, every=100))
+        outcome = run_job(job, RunContext(
+            beat=BeatSpec(queue=channel, every=100)))
         assert isinstance(outcome, JobError)
         final = None
         while not channel.empty():

@@ -10,6 +10,7 @@ import pytest
 
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup, derive_ratios
+from repro.exec import RunContext
 from repro.obs import Histogram, IntervalRecorder, RunManifest, Tracer
 from repro.obs.manifest import config_fingerprint
 from repro.obs.tracer import NULL_TRACER
@@ -200,7 +201,8 @@ class TestTracer:
 
     def test_simulation_emits_pipeline_stages(self):
         tracer = Tracer()
-        run_workload("stream", "hybrid_tlb", seed=42, tracer=tracer, **FAST)
+        run_workload("stream", "hybrid_tlb", seed=42,
+                     ctx=RunContext(tracer=tracer), **FAST)
         stages = {e.stage for e in tracer.events}
         assert {"filter_probe", "cache", "access"} <= stages
         # An LLC miss must have gone through the delayed TLB.
@@ -210,8 +212,8 @@ class TestTracer:
 
     def test_segment_walk_events(self):
         tracer = Tracer()
-        run_workload("stream", "hybrid_segments", seed=42, tracer=tracer,
-                     **FAST)
+        run_workload("stream", "hybrid_segments", seed=42,
+                     ctx=RunContext(tracer=tracer), **FAST)
         stages = {e.stage for e in tracer.events}
         assert "segment_walk" in stages
 
@@ -255,7 +257,8 @@ class TestTracerParity:
         base = run_workload("stream", "hybrid_tlb", seed=42, interval=100,
                             **FAST)
         traced = run_workload("stream", "hybrid_tlb", seed=42, interval=100,
-                              tracer=Tracer(sample_every=2), **FAST)
+                              ctx=RunContext(tracer=Tracer(sample_every=2)),
+                              **FAST)
         assert traced.instructions == base.instructions
         assert traced.accesses == base.accesses
         assert traced.cycles == base.cycles

@@ -169,6 +169,57 @@ class TestSubmissionApi:
                 service.close()
 
 
+class TestKeepAlive:
+    """Sequential requests on one HTTP/1.1 connection must not wait on
+    Nagle + delayed ACK (about 40 ms a response when headers and body
+    leave in separate sends)."""
+
+    @staticmethod
+    def _timed_gets(server, path, count=20):
+        import http.client
+
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=30)
+        try:
+            started = time.perf_counter()
+            bodies = []
+            for _ in range(count):
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                bodies.append((resp.status, resp.read()))
+            return time.perf_counter() - started, bodies
+        finally:
+            conn.close()
+
+    def test_20_healthz_requests_on_one_connection(self):
+        service = JobService(start=False)
+        with ServeServer(service) as server:
+            try:
+                elapsed, bodies = self._timed_gets(server, "/healthz")
+            finally:
+                service.close()
+        assert all(status == 200 for status, _ in bodies)
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
+
+    def test_20_result_requests_on_one_connection(self):
+        """Result bodies with an interval series outgrow the response
+        buffer; they must not stall either."""
+        service = JobService(executor=SerialExecutor())
+        with ServeServer(service) as server:
+            try:
+                job = make_job(interval=200)
+                record, _ = service.submit(job)
+                assert record.done.wait(timeout=120)
+                elapsed, bodies = self._timed_gets(
+                    server, f"/jobs/{job.fingerprint()}")
+            finally:
+                service.close()
+        assert len(record.body) > 8192
+        assert all(status == 200 and body == record.body
+                   for status, body in bodies)
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
+
+
 class TestCoalescing:
     def test_duplicate_submissions_coalesce_deterministically(self):
         """With the dispatcher parked, a duplicate submission must join

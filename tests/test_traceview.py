@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.exec import RunContext
 from repro.obs.aggregate import aggregate_results
 from repro.obs.tracer import Tracer, TraceSpec
 from repro.obs.traceview import (
@@ -209,7 +210,7 @@ class TestTraceViewEndToEnd:
         path = tmp_path / "run.jsonl"
         tracer = Tracer(sink=path)
         result = run_workload("stream", "hybrid_tlb", seed=42,
-                              tracer=tracer, **FAST)
+                              ctx=RunContext(tracer=tracer), **FAST)
         tracer.close()
         view = read_trace(path)
         assert len(view.runs) == 1
@@ -236,7 +237,8 @@ class TestTraceViewEndToEnd:
             executor = ParallelExecutor(workers=workers) if workers > 1 \
                 else None
             sweep_delayed_tlb("stream", sizes, seed=42,
-                              trace_spec=spec, executor=executor, **FAST)
+                              ctx=RunContext(trace_spec=spec),
+                              executor=executor, **FAST)
             return spec.shards()
 
         serial = capture(tmp_path / "serial", workers=1)
