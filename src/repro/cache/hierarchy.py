@@ -47,6 +47,7 @@ class CacheHierarchy:
     def __init__(self, config: SystemConfig, stats: StatGroup | None = None) -> None:
         self.config = config
         self.stats = stats or StatGroup("cache_hierarchy")
+        self._counters = self.stats.counters
         self.l1: List[SetAssociativeCache] = [
             SetAssociativeCache(config.l1, f"l1_core{c}") for c in range(config.cores)
         ]
@@ -72,7 +73,7 @@ class CacheHierarchy:
         for core in holders:
             self.l1[core].invalidate(victim.key)
             self.l2[core].invalidate(victim.key)
-        self.stats.add("back_invalidations", len(holders))
+        self._counters["back_invalidations"] += len(holders)
 
     def _invalidate_remote_copies(self, key: int, writer: int) -> None:
         """Write by ``writer``: invalidate all other cores' private copies."""
@@ -85,7 +86,7 @@ class CacheHierarchy:
             self.l2[core].invalidate(key)
             holders.discard(core)
         if remote:
-            self.stats.add("coherence_invalidations", len(remote))
+            self._counters["coherence_invalidations"] += len(remote)
 
     def _note_copy(self, key: int, core: int) -> None:
         self._copies.setdefault(key, set()).add(core)
@@ -111,12 +112,11 @@ class CacheHierarchy:
 
     def _access(self, core: int, key: int, is_write: bool,
                 permissions: int) -> CacheAccessResult:
-        self.stats.add("accesses")
-        latency = 0
+        self._counters["accesses"] += 1
         shared_state = STATE_MODIFIED if is_write else STATE_SHARED
 
         l1 = self.l1[core]
-        latency += l1.latency
+        latency = l1.latency
         line = l1.lookup(key, is_write)
         if line is not None:
             if is_write:
@@ -146,11 +146,11 @@ class CacheHierarchy:
             return CacheAccessResult("llc", latency, llc_miss=False)
 
         # Memory fill: install in all levels (inclusive).
-        self.stats.add("llc_misses")
+        self._counters["llc_misses"] += 1
         victim = self.llc.fill(CacheLine(key, is_write, permissions, STATE_EXCLUSIVE))
         writeback = victim is not None and victim.dirty
         if writeback:
-            self.stats.add("memory_writebacks")
+            self._counters["memory_writebacks"] += 1
         l2.fill(CacheLine(key, False, permissions, shared_state))
         l1.fill(CacheLine(key, is_write, permissions, shared_state))
         if is_write:

@@ -26,16 +26,14 @@ class SetAssociativeCache:
         self.config = config
         self.name = name
         self.stats = stats or StatGroup(name)
+        self._counters = self.stats.counters
+        self.latency = config.latency
         sets = config.sets
         if sets & (sets - 1):
             raise ValueError(f"{name}: set count {sets} must be a power of two")
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(sets)]
         self._set_mask = sets - 1
         self._eviction_callback: Optional[EvictionCallback] = None
-
-    @property
-    def latency(self) -> int:
-        return self.config.latency
 
     def on_eviction(self, callback: EvictionCallback) -> None:
         """Register a callback invoked with every evicted line.
@@ -45,47 +43,45 @@ class SetAssociativeCache:
         """
         self._eviction_callback = callback
 
-    def _set_for(self, key: int) -> Dict[int, CacheLine]:
-        return self._sets[key & self._set_mask]
-
     def lookup(self, key: int, is_write: bool = False) -> Optional[CacheLine]:
         """Probe for a block; on hit, refresh LRU and set dirty for writes."""
-        self.stats.add("lookups")
-        cache_set = self._set_for(key)
-        line = cache_set.get(key)
+        counters = self._counters
+        counters["lookups"] += 1
+        cache_set = self._sets[key & self._set_mask]
+        line = cache_set.pop(key, None)
         if line is None:
-            self.stats.add("misses")
+            counters["misses"] += 1
             return None
-        del cache_set[key]
         cache_set[key] = line
         if is_write:
             line.dirty = True
-        self.stats.add("hits")
+        counters["hits"] += 1
         return line
 
     def probe(self, key: int) -> Optional[CacheLine]:
         """Residence check without LRU or counter side effects."""
-        return self._set_for(key).get(key)
+        return self._sets[key & self._set_mask].get(key)
 
     def fill(self, line: CacheLine) -> Optional[CacheLine]:
         """Install a line, evicting LRU if the set is full.
 
         Returns the victim (after the eviction callback has seen it).
         """
-        cache_set = self._set_for(line.key)
+        key = line.key
+        cache_set = self._sets[key & self._set_mask]
+        counters = self._counters
         victim = None
-        if line.key in cache_set:
-            del cache_set[line.key]
+        if key in cache_set:
+            del cache_set[key]
         elif len(cache_set) >= self.config.ways:
-            oldest_key = next(iter(cache_set))
-            victim = cache_set.pop(oldest_key)
-            self.stats.add("evictions")
+            victim = cache_set.pop(next(iter(cache_set)))
+            counters["evictions"] += 1
             if victim.dirty:
-                self.stats.add("writebacks")
+                counters["writebacks"] += 1
             if self._eviction_callback is not None:
                 self._eviction_callback(victim)
-        cache_set[line.key] = line
-        self.stats.add("fills")
+        cache_set[key] = line
+        counters["fills"] += 1
         return victim
 
     def insert(self, key: int, dirty: bool = False, permissions: int = PERM_RW,
@@ -96,10 +92,9 @@ class SetAssociativeCache:
 
     def invalidate(self, key: int) -> Optional[CacheLine]:
         """Remove one block (coherence invalidation / page flush)."""
-        cache_set = self._set_for(key)
-        line = cache_set.pop(key, None)
+        line = self._sets[key & self._set_mask].pop(key, None)
         if line is not None:
-            self.stats.add("invalidations")
+            self._counters["invalidations"] += 1
         return line
 
     def invalidate_many(self, keys: Iterable[int]) -> int:

@@ -17,42 +17,43 @@ class StatGroup:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counters: Dict[str, int] = defaultdict(int)
+        #: Live counters; hot paths bind this dict and increment in place.
+        self.counters: Dict[str, int] = defaultdict(int)
 
     def add(self, counter: str, amount: int = 1) -> None:
         """Increment ``counter`` by ``amount``."""
-        self._counters[counter] += amount
+        self.counters[counter] += amount
 
     def __getitem__(self, counter: str) -> int:
-        return self._counters.get(counter, 0)
+        return self.counters.get(counter, 0)
 
     def __contains__(self, counter: str) -> bool:
-        return counter in self._counters
+        return counter in self.counters
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._counters)
+        return iter(self.counters)
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """Return ``numerator / denominator``, or 0.0 when the denominator is 0."""
-        denom = self._counters.get(denominator, 0)
+        denom = self.counters.get(denominator, 0)
         if not denom:
             return 0.0
-        return self._counters.get(numerator, 0) / denom
+        return self.counters.get(numerator, 0) / denom
 
     def hit_rate(self, hits: str = "hits", misses: str = "misses") -> float:
         """Return hits / (hits + misses), or 0.0 with no accesses."""
-        h = self._counters.get(hits, 0)
-        m = self._counters.get(misses, 0)
+        h = self.counters.get(hits, 0)
+        m = self.counters.get(misses, 0)
         total = h + m
         return h / total if total else 0.0
 
     def reset(self) -> None:
         """Zero every counter."""
-        self._counters.clear()
+        self.counters.clear()
 
     def snapshot(self) -> Dict[str, int]:
         """Return a plain-dict copy of the counters."""
-        return dict(self._counters)
+        return dict(self.counters)
 
     def snapshot_with_ratios(self) -> Dict[str, object]:
         """Counters plus derived ratios, for machine-readable exports.
@@ -65,11 +66,11 @@ class StatGroup:
 
     def merge(self, other: "StatGroup") -> None:
         """Accumulate another group's counters into this one."""
-        for counter, value in other._counters.items():
-            self._counters[counter] += value
+        for counter, value in other.counters.items():
+            self.counters[counter] += value
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
         return f"StatGroup({self.name!r}: {inner})"
 
 

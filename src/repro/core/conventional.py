@@ -14,7 +14,8 @@ from repro.common.address import physical_block_key, virtual_page_key
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
 from repro.core.mmu_base import AccessOutcome, MmuBase
-from repro.osmodel.kernel import Kernel
+from repro.osmodel.kernel import Kernel, SegmentationViolation
+from repro.osmodel.pagetable import PageFault
 from repro.tlb.base import TlbEntry
 from repro.tlb.hierarchy import TlbHierarchy
 from repro.tlb.walker import PageWalker
@@ -57,7 +58,7 @@ class ConventionalMmu(MmuBase):
         # Physical caches: flush the page's physical blocks.
         try:
             pa = self.kernel.translate(asid, page_va).pa
-        except Exception:
+        except (PageFault, SegmentationViolation):
             return
         base_key = physical_block_key(pa)
         self.caches.flush_blocks(base_key + i for i in range(64))
@@ -81,7 +82,7 @@ class ConventionalMmu(MmuBase):
         else:
             walk = self.walkers[core].walk(asid, va)
             front = self.config.l2_tlb.latency + walk.cycles
-            translation = self.kernel.translate(asid, va)
+            translation = walk.translation
             entry = TlbEntry(page_key, translation.pa >> 12, True,
                              translation.permissions)
             tlb.fill(entry)

@@ -24,7 +24,6 @@ from typing import Optional, Protocol, Tuple
 
 from repro.common.address import (
     PAGE_SHIFT,
-    page_base,
     physical_block_key,
     virtual_block_key,
     virtual_page_key,
@@ -40,7 +39,8 @@ from repro.obs.events import (
     STAGE_SYNONYM_TLB,
 )
 from repro.obs.histogram import Histogram
-from repro.osmodel.kernel import Kernel
+from repro.osmodel.kernel import Kernel, SegmentationViolation
+from repro.osmodel.pagetable import PageFault
 from repro.osmodel.segments import SegmentFault
 from repro.segtrans.many_segment import ManySegmentTranslator
 from repro.tlb.base import SetAssociativeTlb, TlbEntry
@@ -83,7 +83,7 @@ class DelayedTlbEngine:
         if entry is None:
             walk = self.walker.walk(asid, va)
             cycles += walk.cycles
-            translation = self.kernel.translate(asid, va)
+            translation = walk.translation
             entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT, True,
                              translation.permissions)
             self.tlb.fill(entry)
@@ -141,7 +141,7 @@ class ManySegmentEngine:
         except SegmentFault:
             self.stats.add("paging_fallbacks")
             walk = self.fallback_walker.walk(asid, va)
-            translation = self.kernel.translate(asid, va)
+            translation = walk.translation
             if self.mmu.tracer.recording:
                 self.mmu.tracer.stage(STAGE_PAGE_WALK, cycles=walk.cycles,
                                       fallback=True)
@@ -210,7 +210,7 @@ class HybridMmu(MmuBase):
         if was_shared:
             try:
                 pa = self.kernel.translate(asid, page_va).pa
-            except Exception:
+            except (PageFault, SegmentationViolation):
                 return
             base_key = physical_block_key(pa)
         else:
@@ -264,7 +264,7 @@ class HybridMmu(MmuBase):
         if entry is None:
             walk = self.synonym_walker.walk(asid, va)
             front += walk.cycles
-            translation = self.kernel.translate(asid, va)
+            translation = walk.translation
             entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT,
                              translation.shared, translation.permissions)
             self.synonym_tlb.fill(entry)

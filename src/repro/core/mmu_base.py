@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.common.address import physical_block_key
 from repro.common.params import SystemConfig
 from repro.common.stats import StatRegistry
 from repro.obs.histogram import Histogram
@@ -106,8 +107,6 @@ class MmuBase:
     def charge_physical_read(self, core: int, pa: int) -> int:
         """Route a hardware metadata read (PTE, tree node) through the
         cache hierarchy under its physical key; returns cycles."""
-        from repro.common.address import physical_block_key
-
         result = self.caches.access(core, physical_block_key(pa), is_write=False)
         cycles = result.latency
         if result.llc_miss:

@@ -101,7 +101,7 @@ class DirectSegmentMmu(MmuBase):
             elif lookup.level == "miss":
                 walk = self.walkers[core].walk(asid, va)
                 front = self.config.l2_tlb.latency + walk.cycles
-                translation = self.kernel.translate(asid, va)
+                translation = walk.translation
                 self.tlbs[core].fill(TlbEntry(page_key,
                                               translation.pa >> PAGE_SHIFT,
                                               True, translation.permissions))
@@ -167,7 +167,7 @@ class RmmMmu(MmuBase):
             except SegmentFault:
                 walk = self.walkers[core].walk(asid, va)
                 front = self.config.l2_tlb.latency + walk.cycles
-                translation = self.kernel.translate(asid, va)
+                translation = walk.translation
                 pa = translation.pa
                 translation_perms = translation.permissions
             self.tlbs[core].fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True,
@@ -251,7 +251,7 @@ class EnigmaMmu(MmuBase):
             if entry is None:
                 walk = self.walker.walk(asid, va)
                 delayed += walk.cycles
-                translation = self.kernel.translate(asid, va)
+                translation = walk.translation
                 entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT, True,
                                  translation.permissions)
                 self.delayed_tlb.fill(entry)

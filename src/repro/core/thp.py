@@ -123,16 +123,14 @@ class ThpBaselineMmu(MmuBase):
         if pa is None:
             walk = self.walkers[core].walk(asid, va)
             front += walk.cycles
-            self.kernel.translate(asid, va)  # resolve faults
-            leaf = self.kernel.process(asid).page_table.entry(va)
-            if leaf.is_huge:
-                entry = TlbEntry(huge_key, leaf.pfn, True, leaf.permissions)
-                self.l1_huge[core].fill(entry)
-                pa = self._pa_of(entry, va, huge=True)
-            else:
-                entry = TlbEntry(small_key, leaf.pfn, True, leaf.permissions)
-                self.l1_small[core].fill(entry)
-                pa = self._pa_of(entry, va, huge=False)
+            translation = walk.translation
+            pa = translation.pa
+            huge = translation.page_shift == HUGE_PAGE_SHIFT
+            frame_mask = ~((1 << translation.page_shift) - 1)
+            entry = TlbEntry(huge_key if huge else small_key,
+                             (pa & frame_mask) >> PAGE_SHIFT, True,
+                             translation.permissions)
+            (self.l1_huge if huge else self.l1_small)[core].fill(entry)
             self.l2[core].fill(entry)
 
         result = self.caches.access(core, physical_block_key(pa), is_write)

@@ -13,7 +13,8 @@ and index tree, and the synonym bookkeeping the paper assigns to software:
 
 The hardware-facing entry point is :meth:`translate`, which performs the
 functional VA→PA mapping (resolving first-touch faults inline) and
-returns the page's permissions and ground-truth synonym status.
+returns the page's permissions and ground-truth synonym status;
+:meth:`pte_path` adds the PTE addresses a walk reads, in one traversal.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.osmodel.address_space import (
 )
 from repro.osmodel.frames import FrameAllocator
 from repro.osmodel.index_tree import IndexTree
-from repro.osmodel.pagetable import PERM_READ, PERM_RW, PageFault
+from repro.osmodel.pagetable import PERM_READ, PERM_RW, PageFault, PageTableEntry
 from repro.osmodel.segments import OsSegmentTable
 
 #: Listener signature for shootdowns: (asid, page_va) of the dead mapping.
@@ -58,6 +59,13 @@ class Translation:
     pa: int
     permissions: int
     shared: bool       # ground-truth synonym status of the page
+    page_shift: int = PAGE_SHIFT  # 12 for 4 KB leaves, 21 for 2 MB ones
+
+
+def _translation(entry: PageTableEntry, va: int) -> Translation:
+    offset_mask = (1 << entry.page_shift) - 1
+    return Translation((entry.pfn << PAGE_SHIFT) | (va & offset_mask),
+                       entry.permissions, entry.shared, entry.page_shift)
 
 
 class Kernel:
@@ -229,10 +237,12 @@ class Kernel:
         """Tear down a mapping: flush caches, shoot down TLBs, free memory."""
         for offset in range(0, vma.length, PAGE_SIZE):
             va = vma.vbase + offset
-            entry = process.page_table.unmap(va)
+            entry = process.page_table.walk(va)[0]
             if entry is not None:
+                # Flush first: the listeners translate the still-mapped page.
                 self._flush_page(process.asid, va, vma.shared)
                 self._shootdown(process.asid, va)
+                process.page_table.unmap(va)
                 if (vma.policy == POLICY_DEMAND
                         and entry.pfn not in self._cow_frames):
                     self.frames.free(entry.pfn, 1)
@@ -432,17 +442,25 @@ class Kernel:
 
     def translate(self, asid: int, va: int) -> Translation:
         """VA→PA with inline first-touch fault handling."""
-        process = self._processes[asid]
-        table = process.page_table
-        try:
-            entry = table.entry(page_base(va))
-        except PageFault:
-            entry = self._handle_fault(process, va)
-        offset_mask = (1 << entry.page_shift) - 1
-        pa = (entry.pfn << PAGE_SHIFT) | (va & offset_mask)
-        return Translation(pa, entry.permissions, entry.shared)
+        return _translation(self._leaf(asid, va)[0], va)
 
-    def _handle_fault(self, process: Process, va: int):
+    def pte_path(self, asid: int, va: int) -> Tuple[Translation, List[int]]:
+        """:meth:`translate` plus the PTE addresses a hardware walk reads
+        (root→leaf), from one traversal of a mapped page.  Faults are
+        resolved first; the caller accounts their cost via kernel stats."""
+        entry, path = self._leaf(asid, va)
+        return _translation(entry, va), path
+
+    def _leaf(self, asid: int, va: int) -> Tuple[PageTableEntry, List[int]]:
+        """Leaf PTE and PTE path of ``va``, faulting a first touch in."""
+        process = self._processes[asid]
+        entry, path = process.page_table.walk(va)
+        if entry is None:
+            self._handle_fault(process, va)
+            entry, path = process.page_table.walk(va)
+        return entry, path  # type: ignore[return-value]
+
+    def _handle_fault(self, process: Process, va: int) -> None:
         vma = process.find_vma(va)
         if vma is None:
             raise SegmentationViolation(process.asid, va)
@@ -469,7 +487,6 @@ class Kernel:
             process.page_table.map(page_va, pa >> PAGE_SHIFT, vma.permissions,
                                    shared=True)
             self.stats.add("shared_first_touches")
-        return process.page_table.entry(page_va)
 
     def _try_map_huge(self, process: Process, segment, va: int) -> bool:
         """Install a 2 MB leaf when alignment and coverage permit."""
@@ -488,15 +505,6 @@ class Kernel:
         for offset in range(0, HUGE_PAGE_SIZE, PAGE_SIZE):
             segment.touch(huge_base + offset)
         return True
-
-    def pte_path(self, asid: int, va: int) -> List[int]:
-        """Physical addresses a hardware page walk reads (root→leaf).
-
-        Faults are resolved first so the walker always sees a full path —
-        the fault cost itself is accounted by the caller via kernel stats.
-        """
-        self.translate(asid, va)
-        return self._processes[asid].page_table.walk_path(va)
 
     def is_synonym_page(self, asid: int, va: int) -> bool:
         """Ground truth for filter false-positive accounting."""

@@ -27,6 +27,11 @@ PERM_READ = 0x1
 PERM_WRITE = 0x2
 PERM_RW = PERM_READ | PERM_WRITE
 
+_VA_MASK = (1 << VA_BITS) - 1
+_INDEX_MASK = (1 << BITS_PER_LEVEL) - 1
+#: VPN shifts of the levels above the 4 KB leaves, root first.
+_UPPER_SHIFTS = tuple(BITS_PER_LEVEL * level for level in range(LEVELS - 1, 0, -1))
+
 
 class PageFault(Exception):
     """Raised when translating an unmapped virtual address."""
@@ -102,9 +107,8 @@ class PageTable:
 
     @staticmethod
     def _indices(va: int) -> List[int]:
-        vpn = (va & ((1 << VA_BITS) - 1)) >> PAGE_SHIFT
-        return [(vpn >> (BITS_PER_LEVEL * level)) & ((1 << BITS_PER_LEVEL) - 1)
-                for level in reversed(range(LEVELS))]
+        vpn = (va & _VA_MASK) >> PAGE_SHIFT
+        return [(vpn >> shift) & _INDEX_MASK for shift in _UPPER_SHIFTS + (0,)]
 
     # ------------------------------------------------------------------ #
     # Mapping
@@ -184,21 +188,34 @@ class PageTable:
     # Translation
     # ------------------------------------------------------------------ #
 
+    def walk(self, va: int) -> Tuple[Optional[PageTableEntry], List[int]]:
+        """One radix traversal: the leaf PTE (4 KB or 2 MB; None when
+        unmapped) and the physical addresses of the PTEs a hardware walk
+        reads, root→leaf.
+
+        An unmapped level still contributes the address that *would* be
+        read (the walk discovers the fault by reading it).
+        """
+        vpn = (va & _VA_MASK) >> PAGE_SHIFT
+        node = self._root
+        path = []
+        for shift in _UPPER_SHIFTS:
+            index = (vpn >> shift) & _INDEX_MASK
+            path.append(node.pa + index * PTE_SIZE)
+            slot = node.slots.get(index)
+            if type(slot) is not _Node:
+                return slot, path  # type: ignore[return-value]
+            node = slot
+        index = vpn & _INDEX_MASK
+        path.append(node.pa + index * PTE_SIZE)
+        return node.slots.get(index), path  # type: ignore[return-value]
+
     def entry(self, va: int) -> PageTableEntry:
         """Return the leaf PTE (4 KB or 2 MB) or raise :class:`PageFault`."""
-        node = self._root
-        idx = self._indices(va)
-        for level_index in idx[:-1]:
-            child = node.slots.get(level_index)
-            if child is None:
-                raise PageFault(va)
-            if isinstance(child, PageTableEntry):
-                return child  # huge leaf
-            node = child  # type: ignore[assignment]
-        entry = node.slots.get(idx[-1])
+        entry = self.walk(va)[0]
         if entry is None:
             raise PageFault(va)
-        return entry  # type: ignore[return-value]
+        return entry
 
     def translate(self, va: int) -> int:
         """VA → PA for a mapped address (any leaf size)."""
@@ -206,28 +223,11 @@ class PageTable:
         return (entry.pfn << PAGE_SHIFT) | (va & ((1 << entry.page_shift) - 1))
 
     def is_mapped(self, va: int) -> bool:
-        try:
-            self.entry(va)
-            return True
-        except PageFault:
-            return False
+        return self.walk(va)[0] is not None
 
     def walk_path(self, va: int) -> List[int]:
-        """Physical addresses of the PTEs a hardware walk reads, root→leaf.
-
-        Unmapped upper levels still contribute the address that *would* be
-        read (the walk discovers the fault by reading it).
-        """
-        path: List[int] = []
-        node: Optional[_Node] = self._root
-        for level_index in self._indices(va):
-            assert node is not None
-            path.append(node.pa + level_index * PTE_SIZE)
-            nxt = node.slots.get(level_index)
-            node = nxt if isinstance(nxt, _Node) else None
-            if node is None:
-                break
-        return path
+        """Physical addresses of the PTEs a hardware walk reads, root→leaf."""
+        return self.walk(va)[1]
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -79,6 +79,8 @@ class Simulator:
         pulsing = pulse_every > 0
         pulse_countdown = pulse_every
         started_at = datetime.now(timezone.utc).isoformat()
+        access = self.mmu.access
+        record_timing = timing.record
         t0 = time.perf_counter()
 
         for i, record in enumerate(trace):
@@ -87,12 +89,12 @@ class Simulator:
             if tracing:
                 tracer.begin_access(record.core, record.asid, record.va,
                                     record.is_write)
-            outcome = self.mmu.access(record.core, record.asid, record.va,
-                                      record.is_write)
+            outcome = access(record.core, record.asid, record.va,
+                             record.is_write)
             if tracing:
                 tracer.end_access(outcome, timed=i >= warmup)
             if i >= warmup:
-                timing.record(outcome, instructions_between=1 + record.gap)
+                record_timing(outcome, instructions_between=1 + record.gap)
                 if recorder is not None:
                     recorder.tick()
                 if pulsing:

@@ -23,27 +23,25 @@ class DramModel:
                  stats: StatGroup | None = None) -> None:
         self.config = config or DramConfig()
         self.stats = stats or StatGroup("dram")
+        self._counters = self.stats.counters
         total_banks = self.config.channels * self.config.banks
         self._open_rows: List[Optional[int]] = [None] * total_banks
         self._total_banks = total_banks
         self._row_shift = (self.config.row_bytes - 1).bit_length()
 
-    def _locate(self, pa: int) -> tuple[int, int]:
-        row = pa >> self._row_shift
-        bank = row % self._total_banks
-        return bank, row
-
     def access(self, pa: int, is_write: bool) -> int:
         """Access one block; returns cycles and updates the open row."""
-        bank, row = self._locate(pa)
-        self.stats.add("accesses")
+        row = pa >> self._row_shift
+        bank = row % self._total_banks
+        counters = self._counters
+        counters["accesses"] += 1
         if is_write:
-            self.stats.add("writes")
+            counters["writes"] += 1
         if self._open_rows[bank] == row:
-            self.stats.add("row_hits")
+            counters["row_hits"] += 1
             cycles = self.config.row_hit_cycles
         else:
-            self.stats.add("row_misses")
+            counters["row_misses"] += 1
             cycles = self.config.row_miss_cycles
             self._open_rows[bank] = row
         return cycles + self.config.queue_penalty_cycles

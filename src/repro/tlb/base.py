@@ -49,58 +49,51 @@ class SetAssociativeTlb:
         self.config = config
         self.name = name
         self.stats = stats or StatGroup(name)
+        self._counters = self.stats.counters
+        self.latency = config.latency
         self._sets: list[Dict[int, TlbEntry]] = [{} for _ in range(config.sets)]
         self._set_mask = config.sets - 1
         if config.sets & self._set_mask:
             raise ValueError("TLB set count must be a power of two")
 
-    @property
-    def latency(self) -> int:
-        return self.config.latency
-
-    def _set_for(self, page_key: int) -> Dict[int, TlbEntry]:
-        return self._sets[page_key & self._set_mask]
-
     def lookup(self, page_key: int) -> Optional[TlbEntry]:
         """Probe the TLB; returns the entry on hit (refreshing LRU) or None."""
-        self.stats.add("lookups")
-        tlb_set = self._set_for(page_key)
-        entry = tlb_set.get(page_key)
+        counters = self._counters
+        counters["lookups"] += 1
+        tlb_set = self._sets[page_key & self._set_mask]
+        entry = tlb_set.pop(page_key, None)
         if entry is None:
-            self.stats.add("misses")
+            counters["misses"] += 1
             return None
         # Refresh LRU position: re-insert at the back.
-        del tlb_set[page_key]
         tlb_set[page_key] = entry
-        self.stats.add("hits")
+        counters["hits"] += 1
         return entry
 
     def probe(self, page_key: int) -> Optional[TlbEntry]:
         """Check residence without touching LRU state or counters."""
-        return self._set_for(page_key).get(page_key)
+        return self._sets[page_key & self._set_mask].get(page_key)
 
     def fill(self, entry: TlbEntry) -> Optional[TlbEntry]:
         """Insert an entry, returning the victim it evicted (if any)."""
-        tlb_set = self._set_for(entry.page_key)
+        key = entry.page_key
+        tlb_set = self._sets[key & self._set_mask]
         victim = None
-        if entry.page_key in tlb_set:
-            del tlb_set[entry.page_key]
+        if key in tlb_set:
+            del tlb_set[key]
         elif len(tlb_set) >= self.config.ways:
-            oldest_key = next(iter(tlb_set))
-            victim = tlb_set.pop(oldest_key)
-            self.stats.add("evictions")
-        tlb_set[entry.page_key] = entry
-        self.stats.add("fills")
+            victim = tlb_set.pop(next(iter(tlb_set)))
+            self._counters["evictions"] += 1
+        tlb_set[key] = entry
+        self._counters["fills"] += 1
         return victim
 
     def invalidate(self, page_key: int) -> bool:
         """Drop one translation (TLB-shootdown target); True if present."""
-        tlb_set = self._set_for(page_key)
-        if page_key in tlb_set:
-            del tlb_set[page_key]
-            self.stats.add("invalidations")
-            return True
-        return False
+        if self._sets[page_key & self._set_mask].pop(page_key, None) is None:
+            return False
+        self._counters["invalidations"] += 1
+        return True
 
     def flush_asid(self, asid: int, vpn_bits: int = 36) -> int:
         """Drop every entry belonging to ``asid``; returns the count dropped.

@@ -31,23 +31,26 @@ class TlbHierarchy:
     def __init__(self, l1_config: TlbConfig, l2_config: TlbConfig,
                  name: str = "tlb", stats: StatGroup | None = None) -> None:
         self.stats = stats or StatGroup(name)
+        self._counters = self.stats.counters
         self.l1 = SetAssociativeTlb(l1_config, f"{name}_l1")
         self.l2 = SetAssociativeTlb(l2_config, f"{name}_l2")
 
     def lookup(self, page_key: int) -> TlbLookupResult:
         """Probe L1 then L2; a miss costs both probe latencies."""
-        self.stats.add("lookups")
-        entry = self.l1.lookup(page_key)
+        counters = self._counters
+        counters["lookups"] += 1
+        l1 = self.l1
+        entry = l1.lookup(page_key)
         if entry is not None:
-            self.stats.add("l1_hits")
-            return TlbLookupResult(entry, self.l1.latency, "l1")
+            counters["l1_hits"] += 1
+            return TlbLookupResult(entry, l1.latency, "l1")
         entry = self.l2.lookup(page_key)
         if entry is not None:
-            self.stats.add("l2_hits")
-            self.l1.fill(entry)
-            return TlbLookupResult(entry, self.l1.latency + self.l2.latency, "l2")
-        self.stats.add("misses")
-        return TlbLookupResult(None, self.l1.latency + self.l2.latency, "miss")
+            counters["l2_hits"] += 1
+            l1.fill(entry)
+            return TlbLookupResult(entry, l1.latency + self.l2.latency, "l2")
+        counters["misses"] += 1
+        return TlbLookupResult(None, l1.latency + self.l2.latency, "miss")
 
     def fill(self, entry: TlbEntry) -> None:
         """Install a walked translation into both levels."""

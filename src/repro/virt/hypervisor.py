@@ -97,22 +97,22 @@ class VirtualMachine:
             raise PageFault(gpa)
         return self.host_segments[index]
 
-    def host_translate(self, gpa: int) -> int:
-        """gPA → MA, populating the host page table on first touch."""
-        page = page_base(gpa)
-        try:
-            entry = self.host_page_table.entry(page)
-        except PageFault:
+    def host_resolve(self, gpa: int) -> Tuple[int, List[int]]:
+        """gPA → (MA, machine addresses of the host PTEs a nested walk
+        reads), from one host-table traversal of a mapped page; the host
+        page table is populated on first touch."""
+        entry, path = self.host_page_table.walk(gpa)
+        if entry is None:
+            page = page_base(gpa)
             ma_page = self.host_segment_for(page).offset + page
             self.host_page_table.map(page, ma_page >> PAGE_SHIFT, PERM_RW)
-            entry = self.host_page_table.entry(page)
             self.stats.add("host_first_touches")
-        return (entry.pfn << PAGE_SHIFT) | (gpa & (PAGE_SIZE - 1))
+            entry, path = self.host_page_table.walk(gpa)
+        return (entry.pfn << PAGE_SHIFT) | (gpa & (PAGE_SIZE - 1)), path
 
-    def host_walk_path(self, gpa: int) -> List[int]:
-        """Machine addresses of the host PTEs a nested walk reads."""
-        self.host_translate(gpa)  # ensure mapped
-        return self.host_page_table.walk_path(gpa)
+    def host_translate(self, gpa: int) -> int:
+        """gPA → MA, populating the host page table on first touch."""
+        return self.host_resolve(gpa)[0]
 
     # ------------------------------------------------------------------ #
     # Full 2-D translation

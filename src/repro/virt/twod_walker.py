@@ -48,18 +48,19 @@ class NestedTlb:
     def __init__(self, entries: int = 64, stats: StatGroup | None = None) -> None:
         self.entries = entries
         self.stats = stats or StatGroup("nested_tlb")
+        self._counters = self.stats.counters
         self._map: Dict[int, int] = {}
 
     def lookup(self, gpa_page: int):
         """Probe the nested TLB; returns the MA page or None."""
-        self.stats.add("lookups")
-        ma_page = self._map.get(gpa_page)
+        counters = self._counters
+        counters["lookups"] += 1
+        ma_page = self._map.pop(gpa_page, None)
         if ma_page is None:
-            self.stats.add("misses")
+            counters["misses"] += 1
             return None
-        del self._map[gpa_page]
         self._map[gpa_page] = ma_page
-        self.stats.add("hits")
+        counters["hits"] += 1
         return ma_page
 
     def fill(self, gpa_page: int, ma_page: int) -> None:
@@ -82,6 +83,7 @@ class TwoDWalker:
         self.config = config
         self.charge = charge
         self.stats = stats or StatGroup("twod_walker")
+        self._counters = self.stats.counters
         self.nested_tlb = NestedTlb()
         self._walk_cache: Dict[tuple[int, int], bool] = {}
 
@@ -91,18 +93,16 @@ class TwoDWalker:
 
     def _host_resolve(self, gpa: int) -> tuple[int, int, int]:
         """Return (ma, cycles, reads) for translating one gPA."""
-        page = page_base(gpa)
-        ma_page = self.nested_tlb.lookup(page >> PAGE_SHIFT)
+        gpa_page = gpa >> PAGE_SHIFT
+        ma_page = self.nested_tlb.lookup(gpa_page)
         if ma_page is not None:
             return (ma_page << PAGE_SHIFT) | (gpa & 0xFFF), 1, 0
+        ma, path = self.vm.host_resolve(gpa)
         cycles = 0
-        reads = 0
-        for pte_ma in self.vm.host_walk_path(gpa):
+        for pte_ma in path:
             cycles += self.charge(pte_ma) + self.config.per_level_overhead
-            reads += 1
-        ma = self.vm.host_translate(gpa)
-        self.nested_tlb.fill(page >> PAGE_SHIFT, ma >> PAGE_SHIFT)
-        return ma, cycles, reads
+        self.nested_tlb.fill(gpa_page, ma >> PAGE_SHIFT)
+        return ma, cycles, len(path)
 
     # ------------------------------------------------------------------ #
     # Guest walk cache
@@ -130,14 +130,15 @@ class TwoDWalker:
 
     def walk(self, guest_asid: int, gva: int) -> TwoDWalkResult:
         """Perform one 2-D walk, charging every PTE read."""
-        self.stats.add("walks")
+        counters = self._counters
+        counters["walks"] += 1
         cycles = 0
         reads = 0
 
-        guest_pte_gpas = self.vm.guest_kernel.pte_path(guest_asid, gva)
+        guest, guest_pte_gpas = self.vm.guest_kernel.pte_path(guest_asid, gva)
         if self._guest_cache_lookup(guest_asid, gva):
             guest_pte_gpas = guest_pte_gpas[-1:]
-            self.stats.add("walk_cache_hits")
+            counters["walk_cache_hits"] += 1
         else:
             self._guest_cache_fill(guest_asid, gva)
 
@@ -150,13 +151,12 @@ class TwoDWalker:
             reads += 1
 
         # Finally translate the leaf gPA.
-        guest = self.vm.guest_kernel.translate(guest_asid, gva)
         ma, host_cycles, host_reads = self._host_resolve(guest.pa)
         cycles += host_cycles
         reads += host_reads
 
         host_entry = self.vm.host_page_table.entry(page_base(guest.pa))
         permissions = guest.permissions & host_entry.permissions
-        self.stats.add("memory_reads", reads)
-        self.stats.add("walk_cycles", cycles)
+        counters["memory_reads"] += reads
+        counters["walk_cycles"] += cycles
         return TwoDWalkResult(ma, permissions, guest.shared, cycles, reads)

@@ -215,5 +215,6 @@ class TestSegmentServices:
     def test_pte_path_resolves_faults(self, kernel):
         p = kernel.create_process("p")
         vma = kernel.mmap(p, MB, policy=POLICY_DEMAND)
-        path = kernel.pte_path(p.asid, vma.vbase)
+        translation, path = kernel.pte_path(p.asid, vma.vbase)
         assert len(path) == 4
+        assert translation == kernel.translate(p.asid, vma.vbase)

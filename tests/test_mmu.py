@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.common.address import PAGE_SIZE, virtual_block_key
+from repro.common.address import PAGE_SIZE, physical_block_key, virtual_block_key
 from repro.common.params import SystemConfig
 from repro.common.rng import make_rng
 from repro.core import ConventionalMmu, HybridMmu, IdealMmu
@@ -234,3 +234,36 @@ class TestCrossMmuAgreement:
         assert pas["baseline"] == pas["ideal"]
         assert pas["baseline"] == pas["hybrid_tlb"]
         assert pas["baseline"] == pas["hybrid_seg"]
+
+
+class TestMunmapFlush:
+    """``munmap`` flushes and shoots down a page *before* unmapping it,
+    so the MMUs' flush listeners translate the live mapping instead of
+    faulting the page straight back in."""
+
+    def test_conventional_flushes_freed_frame(self):
+        kernel = Kernel(SystemConfig())
+        mmu = ConventionalMmu(kernel)
+        p = kernel.create_process("p")
+        vma = kernel.mmap(p, MB, policy="demand")
+        key = physical_block_key(
+            mmu.access(0, p.asid, vma.vbase, False).translated_pa)
+        assert mmu.caches.llc.probe(key) is not None
+        kernel.munmap(p, vma)
+        assert p.page_table.mapped_pages == 0
+        assert kernel.stats["demand_faults"] == 1
+        assert mmu.caches.llc.probe(key) is None
+        assert mmu.caches.probe_line(0, key) is None
+
+    def test_hybrid_shared_page_not_refaulted(self):
+        kernel = Kernel(SystemConfig())
+        mmu = HybridMmu(kernel, delayed="tlb")
+        p, q = kernel.create_process("p"), kernel.create_process("q")
+        vma = kernel.mmap_shared([p, q], MB)[p.asid]
+        key = physical_block_key(
+            mmu.access(0, p.asid, vma.vbase, False).translated_pa)
+        assert mmu.caches.llc.probe(key) is not None
+        kernel.munmap(p, vma)
+        assert p.page_table.mapped_pages == 0
+        assert kernel.stats["shared_first_touches"] == 1
+        assert mmu.caches.llc.probe(key) is None

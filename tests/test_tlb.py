@@ -175,10 +175,9 @@ class TestDelayedTlb:
 
 class TestPageWalker:
     def _walker(self, per_read=10):
-        resolved = {}
-
         def resolve(asid, va):
-            return [0x1000, 0x2000, 0x3000, 0x4000 + (va >> 12) * 8]
+            return ("translation", [0x1000, 0x2000, 0x3000,
+                                    0x4000 + (va >> 12) * 8])
 
         return PageWalker(WalkerConfig(walk_cache_entries=2), resolve,
                           lambda pa: per_read)
@@ -189,6 +188,7 @@ class TestPageWalker:
         assert res.memory_accesses == 4
         assert not res.walk_cache_hit
         assert res.cycles == 4 * (10 + 2)
+        assert res.translation == "translation"
 
     def test_walk_cache_hit_reads_leaf_only(self):
         w = self._walker()

@@ -56,8 +56,10 @@ class TestVirtualMachine:
         ma, _perms, _shared = vm.translate_2d(p.asid, gva)
         assert ma == vm.host_translate(gpa)
 
-    def test_host_walk_path_four_levels(self, vm):
-        assert len(vm.host_walk_path(0x1000)) == 4
+    def test_host_resolve_four_levels(self, vm):
+        ma, path = vm.host_resolve(0x1000)
+        assert len(path) == 4
+        assert ma == vm.host_translate(0x1000)
 
     def test_vmid_extended_asids_unique(self, hv):
         vm1, vm2 = hv.create_vm("a"), hv.create_vm("b")
