@@ -6,7 +6,7 @@ the next revision against it:
 
 * :mod:`repro.bench.baseline` — the ``repro.bench/v2`` document layout
   (volatile provenance under ``meta``, per-benchmark model metrics and
-  seconds, git SHA and config fingerprints), v1 migration, atomic save;
+  seconds, git SHA and config fingerprints), atomic save;
 * :mod:`repro.bench.suite`    — the canonical model-metric suite
   ``repro bench record`` runs, self-describing so ``check`` can re-run
   exactly what was recorded;
@@ -14,19 +14,16 @@ the next revision against it:
   a threshold, a markdown/JSON report, and a pass/fail verdict
   (``repro bench check`` exits non-zero on regression).
 
-CLI: ``repro bench record | check | migrate`` — see
+CLI: ``repro bench record | check`` — see
 ``docs/observability.md`` ("Regression gate").
 """
 
 from repro.bench.baseline import (
     BENCH_SCHEMA,
-    BENCH_SCHEMA_V1,
     collect_meta,
     git_sha,
     load_baseline,
     make_baseline,
-    migrate_file,
-    migrate_v1,
     save_baseline,
 )
 from repro.bench.gate import (
@@ -49,13 +46,10 @@ from repro.bench.suite import (
 
 __all__ = [
     "BENCH_SCHEMA",
-    "BENCH_SCHEMA_V1",
     "collect_meta",
     "git_sha",
     "load_baseline",
     "make_baseline",
-    "migrate_file",
-    "migrate_v1",
     "save_baseline",
     "METRIC_DIRECTIONS",
     "GateReport",

@@ -12,8 +12,8 @@ Subcommands:
 * ``trace``      — the trace-analysis surface: ``trace view`` analyzes
   recorded JSONL event traces offline, ``trace workload`` profiles a
   workload's address stream;
-* ``bench``      — benchmark baselines: ``record`` / ``check`` /
-  ``migrate`` (the regression gate);
+* ``bench``      — benchmark baselines: ``record`` / ``check`` (the
+  regression gate);
 * ``db``         — the cross-run metrics store: ``ingest`` recorded
   JSON documents into a SQLite history, ``query`` and ``trend`` it;
 * ``report``     — the self-contained HTML report: ``report build``
@@ -644,7 +644,7 @@ def cmd_trace(args) -> Optional[int]:
 
 
 def cmd_bench(args) -> Optional[int]:
-    """``repro bench record|check|migrate`` — the regression gate."""
+    """``repro bench record|check`` — the regression gate."""
     from repro import bench
 
     if args.bench_command == "record":
@@ -665,18 +665,6 @@ def cmd_bench(args) -> Optional[int]:
                                for k, v in sorted(entry["metrics"].items()))
             print(f"  {entry['name']}: {metrics}")
         return None
-
-    if args.bench_command == "migrate":
-        status = 0
-        for path in args.files:
-            try:
-                rewritten = bench.migrate_file(path)
-            except (OSError, ValueError) as exc:
-                print(f"repro: {path}: {exc}", file=sys.stderr)
-                status = 1
-                continue
-            print(f"{path}: {'migrated to v2' if rewritten else 'already v2'}")
-        return status
 
     # check
     try:
@@ -1066,9 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "history, then ingest this run")
     add_exec(check_parser)
     add_report_out(check_parser)
-    migrate_parser = bench_sub.add_parser(
-        "migrate", help="rewrite v1 baseline files in the v2 layout")
-    migrate_parser.add_argument("files", nargs="+", metavar="FILE")
 
     db_parser = sub.add_parser(
         "db", help="cross-run metrics store: ingest, query, trend")

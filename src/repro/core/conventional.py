@@ -10,49 +10,65 @@ proceeds until the translation resolves.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.common.address import physical_block_key, virtual_page_key
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
 from repro.core.mmu_base import AccessOutcome, MmuBase
 from repro.osmodel.kernel import Kernel, SegmentationViolation
 from repro.osmodel.pagetable import PageFault
-from repro.tlb.base import TlbEntry
 from repro.tlb.hierarchy import TlbHierarchy
 from repro.tlb.walker import PageWalker
 
 
-class ConventionalMmu(MmuBase):
-    """Baseline: per-core two-level TLBs before physically addressed caches."""
+def core_walkers(mmu: MmuBase) -> List[PageWalker]:
+    """One page walker per core, charging PTE reads through its caches."""
+    return [PageWalker(mmu.config.walker, mmu.kernel.pte_path,
+                       lambda pa, c=c: mmu.charge_physical_read(c, pa),
+                       stats=StatGroup(f"walker_core{c}"))
+            for c in range(mmu.config.cores)]
 
-    name = "baseline"
+
+class PagingMmu(MmuBase):
+    """Per-core two-level TLBs and page walkers before physical caches.
+
+    The one core-side paging front end: an access translates through its
+    core's :meth:`TlbHierarchy.translate
+    <repro.tlb.hierarchy.TlbHierarchy.translate>` with
+    ``miss_handlers[core]`` (the core's page walker unless a subclass
+    installs another) and finishes in :meth:`MmuBase.physical_access`.
+    """
 
     def __init__(self, kernel: Kernel, config: SystemConfig | None = None) -> None:
         super().__init__(kernel, config)
         cfg = self.config
         self.tlbs = [TlbHierarchy(cfg.l1_tlb, cfg.l2_tlb, f"tlb_core{c}")
                      for c in range(cfg.cores)]
-        self.walkers = [
-            PageWalker(cfg.walker, kernel.pte_path,
-                       lambda pa, c=c: self.charge_physical_read(c, pa),
-                       stats=StatGroup(f"walker_core{c}"))
-            for c in range(cfg.cores)
-        ]
-        for c in range(cfg.cores):
-            self.stats.register(self.tlbs[c].stats)
-            self.stats.register(self.tlbs[c].l1.stats)
-            self.stats.register(self.tlbs[c].l2.stats)
-            self.stats.register(self.walkers[c].stats)
+        self.walkers = core_walkers(self)
+        for tlb, walker in zip(self.tlbs, self.walkers):
+            self.stats.register(tlb.stats)
+            self.stats.register(walker.stats)
+        self.miss_handlers = [walker.translate for walker in self.walkers]
         kernel.on_shootdown(self._shootdown)
-        kernel.on_page_flush(self._flush_page)
-
-    # ------------------------------------------------------------------ #
-    # OS callbacks
-    # ------------------------------------------------------------------ #
 
     def _shootdown(self, asid: int, page_va: int) -> None:
         key = virtual_page_key(asid, page_va)
         for tlb in self.tlbs:
             tlb.invalidate(key)
+
+
+class ConventionalMmu(PagingMmu):
+    """Baseline: per-core two-level TLBs before physically addressed caches."""
+
+    name = "baseline"
+
+    def __init__(self, kernel: Kernel, config: SystemConfig | None = None) -> None:
+        super().__init__(kernel, config)
+        for tlb in self.tlbs:
+            self.stats.register(tlb.l1.stats)
+            self.stats.register(tlb.l2.stats)
+        kernel.on_page_flush(self._flush_page)
 
     def _flush_page(self, asid: int, page_va: int, was_shared: bool) -> None:
         # Physical caches: flush the page's physical blocks.
@@ -63,33 +79,9 @@ class ConventionalMmu(MmuBase):
         base_key = physical_block_key(pa)
         self.caches.flush_blocks(base_key + i for i in range(64))
 
-    # ------------------------------------------------------------------ #
-    # The access path
-    # ------------------------------------------------------------------ #
-
     def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
         """One memory access: TLB hierarchy, walk on miss, physical caches."""
         self._accesses += 1
-        page_key = virtual_page_key(asid, va)
-        tlb = self.tlbs[core]
-        lookup = tlb.lookup(page_key)
-        front = 0
-        if lookup.level == "l1":
-            entry = lookup.entry
-        elif lookup.level == "l2":
-            entry = lookup.entry
-            front = self.config.l2_tlb.latency
-        else:
-            walk = self.walkers[core].walk(asid, va)
-            front = self.config.l2_tlb.latency + walk.cycles
-            translation = walk.translation
-            entry = TlbEntry(page_key, translation.pa >> 12, True,
-                             translation.permissions)
-            tlb.fill(entry)
-
-        assert entry is not None
-        pa = (entry.pfn << 12) | (va & 0xFFF)
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        pa, front = self.tlbs[core].translate(virtual_page_key(asid, va), asid,
+                                              va, self.miss_handlers[core])
+        return self.physical_access(core, pa, is_write, front)

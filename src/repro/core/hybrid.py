@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Optional, Protocol, Tuple
 
 from repro.common.address import (
+    PAGE_MASK,
     PAGE_SHIFT,
     physical_block_key,
     virtual_block_key,
@@ -44,7 +45,6 @@ from repro.osmodel.pagetable import PageFault
 from repro.osmodel.segments import SegmentFault
 from repro.segtrans.many_segment import ManySegmentTranslator
 from repro.tlb.base import SetAssociativeTlb, TlbEntry
-from repro.tlb.delayed import DelayedTlb
 from repro.tlb.walker import PageWalker
 
 #: Cycles charged for an OS permission-fault (CoW) trap-and-fix.
@@ -65,7 +65,7 @@ class DelayedTlbEngine:
     def __init__(self, kernel: Kernel, mmu: "HybridMmu") -> None:
         self.kernel = kernel
         self.mmu = mmu
-        self.tlb = DelayedTlb(mmu.config.delayed_tlb)
+        self.tlb = SetAssociativeTlb(mmu.config.delayed_tlb, "delayed_tlb")
         self.walker = PageWalker(mmu.config.walker, kernel.pte_path,
                                  lambda pa: mmu.charge_physical_read(0, pa),
                                  stats=StatGroup("delayed_walker"))
@@ -80,21 +80,21 @@ class DelayedTlbEngine:
         entry = self.tlb.lookup(page_key)
         cycles = self.tlb.latency
         hit = entry is not None
-        if entry is None:
-            walk = self.walker.walk(asid, va)
-            cycles += walk.cycles
-            translation = walk.translation
-            entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT, True,
-                             translation.permissions)
-            self.tlb.fill(entry)
+        if hit:
+            pa = (entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK)
+            permissions = entry.permissions
+        else:
+            pa, walk_cycles, permissions = self.walker.translate(asid, va)
+            cycles += walk_cycles
+            self.tlb.fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True,
+                                   permissions))
         self.latency_hist.record(cycles)
         if self.mmu.tracer.recording:
             self.mmu.tracer.stage(STAGE_DELAYED_TLB, cycles=cycles, hit=hit)
-        pa = (entry.pfn << PAGE_SHIFT) | (va & ((1 << PAGE_SHIFT) - 1))
-        return pa, cycles, entry.permissions
+        return pa, cycles, permissions
 
     def shootdown(self, asid: int, page_va: int) -> None:
-        self.tlb.shootdown(virtual_page_key(asid, page_va))
+        self.tlb.invalidate(virtual_page_key(asid, page_va))
 
 
 class ManySegmentEngine:
@@ -140,12 +140,11 @@ class ManySegmentEngine:
             return result.pa, result.cycles, result.permissions
         except SegmentFault:
             self.stats.add("paging_fallbacks")
-            walk = self.fallback_walker.walk(asid, va)
-            translation = walk.translation
+            walked = self.fallback_walker.translate(asid, va)
             if self.mmu.tracer.recording:
-                self.mmu.tracer.stage(STAGE_PAGE_WALK, cycles=walk.cycles,
+                self.mmu.tracer.stage(STAGE_PAGE_WALK, cycles=walked[1],
                                       fallback=True)
-            return translation.pa, walk.cycles, translation.permissions
+            return walked
 
     def shootdown(self, asid: int, page_va: int) -> None:
         # Segment translations are invalidated via the segment-table
@@ -273,7 +272,7 @@ class HybridMmu(MmuBase):
                               is_synonym=entry.is_synonym)
         if entry.is_synonym:
             self.hybrid_stats.add("true_synonym_accesses")
-            pa = (entry.pfn << PAGE_SHIFT) | (va & ((1 << PAGE_SHIFT) - 1))
+            pa = (entry.pfn << PAGE_SHIFT) | (va & PAGE_MASK)
             return physical_block_key(pa), front, entry.permissions, pa
         # False positive: the marker entry redirects to the ASID+VA path.
         self.hybrid_stats.add("false_positive_accesses")
@@ -381,7 +380,7 @@ class HybridMmu(MmuBase):
         """Synonym-TLB misses + delayed-translation misses."""
         misses = self.synonym_tlb.stats["misses"]
         if isinstance(self.delayed, DelayedTlbEngine):
-            misses += self.delayed.tlb.misses()
+            misses += self.delayed.tlb.stats["misses"]
         else:
             engine = self.delayed
             assert isinstance(engine, ManySegmentEngine)

@@ -9,7 +9,6 @@ translation overhead the proposed schemes try to recover.
 
 from __future__ import annotations
 
-from repro.common.address import physical_block_key
 from repro.core.mmu_base import AccessOutcome, MmuBase
 
 
@@ -21,8 +20,5 @@ class IdealMmu(MmuBase):
     def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
         """One memory access with free, never-missing translation."""
         self._accesses += 1
-        pa = self.kernel.translate(asid, va).pa
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(0, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        return self.physical_access(core, self.kernel.translate(asid, va).pa,
+                                    is_write, 0)

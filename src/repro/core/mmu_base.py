@@ -117,6 +117,15 @@ class MmuBase:
         """DRAM cycles for an LLC-missing data access."""
         return self.dram.access(pa, is_write)
 
+    def physical_access(self, core: int, pa: int, is_write: bool,
+                        front: int) -> AccessOutcome:
+        """The tail of a physically addressed access: the caches under
+        the PA key, then DRAM on an LLC miss."""
+        result = self.caches.access(core, physical_block_key(pa), is_write)
+        dram = self.dram.access(pa, is_write) if result.llc_miss else 0
+        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
+                             translated_pa=pa)
+
     def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
         raise NotImplementedError
 

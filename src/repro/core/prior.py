@@ -24,55 +24,38 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict, Optional, Tuple
 
 from repro.common.address import (
+    PAGE_MASK,
     PAGE_SHIFT,
-    physical_block_key,
     virtual_block_key,
     virtual_page_key,
 )
 from repro.common.params import SystemConfig
 from repro.common.stats import StatGroup
+from repro.core.conventional import PagingMmu
 from repro.core.mmu_base import AccessOutcome, MmuBase
 from repro.osmodel.address_space import POLICY_SHARED
 from repro.osmodel.kernel import Kernel
-from repro.osmodel.segments import SegmentFault
+from repro.osmodel.segments import Segment, SegmentFault
 from repro.segtrans.rmm import DirectSegment, RangeTlb
-from repro.tlb.base import TlbEntry
-from repro.tlb.delayed import DelayedTlb
-from repro.tlb.hierarchy import TlbHierarchy
+from repro.tlb.base import PERM_RW, SetAssociativeTlb, TlbEntry
 from repro.tlb.walker import PageWalker
 
 
-class DirectSegmentMmu(MmuBase):
-    """Single direct segment beside a conventional TLB hierarchy."""
+class DirectSegmentMmu(PagingMmu):
+    """Single direct segment in front of a conventional TLB hierarchy."""
 
     name = "direct_segment"
 
     def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None) -> None:
         super().__init__(kernel, config)
-        cfg = self.config
         self.segment = DirectSegment()
         self.stats.register(self.segment.stats)
-        self.tlbs = [TlbHierarchy(cfg.l1_tlb, cfg.l2_tlb, f"tlb_core{c}")
-                     for c in range(cfg.cores)]
-        self.walkers = [
-            PageWalker(cfg.walker, kernel.pte_path,
-                       lambda pa, c=c: self.charge_physical_read(c, pa),
-                       stats=StatGroup(f"walker_core{c}"))
-            for c in range(cfg.cores)
-        ]
-        for c in range(cfg.cores):
-            self.stats.register(self.tlbs[c].stats)
-            self.stats.register(self.walkers[c].stats)
-        kernel.on_shootdown(self._shootdown)
         self._configured_asids: set[int] = set()
-
-    def _shootdown(self, asid: int, page_va: int) -> None:
-        key = virtual_page_key(asid, page_va)
-        for tlb in self.tlbs:
-            tlb.invalidate(key)
+        kernel.on_segment_removed(self.segment.remove)
 
     def _ensure_configured(self, asid: int) -> None:
         """Lazy OS setup: point the registers at the process's largest
@@ -93,29 +76,12 @@ class DirectSegmentMmu(MmuBase):
         pa = self.segment.translate(asid, va)
         front = 0
         if pa is None:
-            # Fallback paging: conventional TLB path.
-            page_key = virtual_page_key(asid, va)
-            lookup = self.tlbs[core].lookup(page_key)
-            if lookup.level == "l2":
-                front = self.config.l2_tlb.latency
-            elif lookup.level == "miss":
-                walk = self.walkers[core].walk(asid, va)
-                front = self.config.l2_tlb.latency + walk.cycles
-                translation = walk.translation
-                self.tlbs[core].fill(TlbEntry(page_key,
-                                              translation.pa >> PAGE_SHIFT,
-                                              True, translation.permissions))
-                pa = translation.pa
-            if pa is None:
-                assert lookup.entry is not None
-                pa = (lookup.entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+            pa, front = self.tlbs[core].translate(
+                virtual_page_key(asid, va), asid, va, self.miss_handlers[core])
+        return self.physical_access(core, pa, is_write, front)
 
 
-class RmmMmu(MmuBase):
+class RmmMmu(PagingMmu):
     """Redundant memory mappings: core-side 32-entry range TLB."""
 
     name = "rmm"
@@ -123,59 +89,36 @@ class RmmMmu(MmuBase):
     def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None,
                  ranges: int = 32) -> None:
         super().__init__(kernel, config)
-        cfg = self.config
         self.range_tlb = RangeTlb(kernel.segment_table, entries=ranges,
-                                  latency=cfg.l2_tlb.latency)
+                                  latency=self.config.l2_tlb.latency)
         self.stats.register(self.range_tlb.stats)
-        self.tlbs = [TlbHierarchy(cfg.l1_tlb, cfg.l2_tlb, f"tlb_core{c}")
-                     for c in range(cfg.cores)]
-        self.walkers = [
-            PageWalker(cfg.walker, kernel.pte_path,
-                       lambda pa, c=c: self.charge_physical_read(c, pa),
-                       stats=StatGroup(f"walker_core{c}"))
-            for c in range(cfg.cores)
-        ]
-        for c in range(cfg.cores):
-            self.stats.register(self.tlbs[c].stats)
-            self.stats.register(self.walkers[c].stats)
-        kernel.on_shootdown(self._shootdown)
+        # The range TLB, probed in parallel with the L2 TLB, backs its
+        # misses and usually saves the walk.
+        self.miss_handlers = [partial(self._range_miss, walker)
+                              for walker in self.walkers]
+        kernel.on_segment_removed(self._segment_removed)
 
-    def _shootdown(self, asid: int, page_va: int) -> None:
-        key = virtual_page_key(asid, page_va)
+    def _range_miss(self, walker: PageWalker, asid: int,
+                    va: int) -> Tuple[int, int, int]:
+        try:
+            result = self.range_tlb.lookup(asid, va)
+        except SegmentFault:
+            return walker.translate(asid, va)
+        return result.pa, result.cycles - self.range_tlb.latency, PERM_RW
+
+    def _segment_removed(self, segment: Segment) -> None:
+        # Range-refilled page-TLB entries never entered the page table,
+        # so the per-page shootdowns of munmap cannot reach them.
+        self.range_tlb.invalidate(segment.seg_id)
         for tlb in self.tlbs:
-            tlb.invalidate(key)
+            tlb.flush_asid(segment.asid)
 
     def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
         """One access: TLB hierarchy with the range TLB backing L2 misses."""
         self._accesses += 1
-        page_key = virtual_page_key(asid, va)
-        lookup = self.tlbs[core].lookup(page_key)
-        front = 0
-        if lookup.level == "l1":
-            pa = (lookup.entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        elif lookup.level == "l2":
-            front = self.config.l2_tlb.latency
-            pa = (lookup.entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        else:
-            # L1+L2 TLB miss: the range TLB (probed in parallel with the
-            # L2 TLB) usually saves the walk.
-            try:
-                range_result = self.range_tlb.lookup(asid, va)
-                front = range_result.cycles
-                pa = range_result.pa
-                translation_perms = 0x3
-            except SegmentFault:
-                walk = self.walkers[core].walk(asid, va)
-                front = self.config.l2_tlb.latency + walk.cycles
-                translation = walk.translation
-                pa = translation.pa
-                translation_perms = translation.permissions
-            self.tlbs[core].fill(TlbEntry(page_key, pa >> PAGE_SHIFT, True,
-                                          translation_perms))
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        pa, front = self.tlbs[core].translate(virtual_page_key(asid, va), asid,
+                                              va, self.miss_handlers[core])
+        return self.physical_access(core, pa, is_write, front)
 
 
 class EnigmaMmu(MmuBase):
@@ -186,7 +129,8 @@ class EnigmaMmu(MmuBase):
     def __init__(self, kernel: Kernel, config: Optional[SystemConfig] = None) -> None:
         super().__init__(kernel, config)
         self.enigma_stats = self.stats.group("enigma")
-        self.delayed_tlb = DelayedTlb(self.config.delayed_tlb)
+        self.delayed_tlb = SetAssociativeTlb(self.config.delayed_tlb,
+                                             "delayed_tlb")
         self.stats.register(self.delayed_tlb.stats)
         self.walker = PageWalker(self.config.walker, kernel.pte_path,
                                  lambda pa: self.charge_physical_read(0, pa),
@@ -205,7 +149,7 @@ class EnigmaMmu(MmuBase):
 
     def _shootdown(self, asid: int, page_va: int) -> None:
         intermediate_asid, iva = self._intermediate(asid, page_va)
-        self.delayed_tlb.shootdown(virtual_page_key(intermediate_asid, iva))
+        self.delayed_tlb.invalidate(virtual_page_key(intermediate_asid, iva))
 
     def _flush_page(self, asid: int, page_va: int, was_shared: bool) -> None:
         intermediate_asid, iva = self._intermediate(asid, page_va)
@@ -249,13 +193,12 @@ class EnigmaMmu(MmuBase):
             entry = self.delayed_tlb.lookup(page_key)
             delayed = self.delayed_tlb.latency
             if entry is None:
-                walk = self.walker.walk(asid, va)
-                delayed += walk.cycles
-                translation = walk.translation
-                entry = TlbEntry(page_key, translation.pa >> PAGE_SHIFT, True,
-                                 translation.permissions)
-                self.delayed_tlb.fill(entry)
-            pa = (entry.pfn << PAGE_SHIFT) | (iva & 0xFFF)
+                pa, walk_cycles, permissions = self.walker.translate(asid, va)
+                delayed += walk_cycles
+                self.delayed_tlb.fill(TlbEntry(page_key, pa >> PAGE_SHIFT,
+                                               True, permissions))
+            else:
+                pa = (entry.pfn << PAGE_SHIFT) | (iva & PAGE_MASK)
         if pa is None:
             pa = self.kernel.translate(asid, va).pa
         dram = self.memory_fill(pa, is_write) if result.llc_miss else 0

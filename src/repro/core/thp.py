@@ -21,17 +21,15 @@ from typing import Optional
 
 from repro.common.address import (
     PAGE_SHIFT,
-    physical_block_key,
     virtual_huge_page_key,
     virtual_page_key,
 )
 from repro.common.params import SystemConfig, TlbConfig
-from repro.common.stats import StatGroup
+from repro.core.conventional import core_walkers
 from repro.core.mmu_base import AccessOutcome, MmuBase
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.pagetable import HUGE_PAGE_SHIFT
 from repro.tlb.base import SetAssociativeTlb, TlbEntry
-from repro.tlb.walker import PageWalker
 
 HUGE_OFFSET_MASK = (1 << HUGE_PAGE_SHIFT) - 1
 
@@ -53,12 +51,7 @@ class ThpBaselineMmu(MmuBase):
                         for c in range(cfg.cores)]
         self.l2 = [SetAssociativeTlb(cfg.l2_tlb, f"tlbl2_core{c}")
                    for c in range(cfg.cores)]
-        self.walkers = [
-            PageWalker(cfg.walker, kernel.pte_path,
-                       lambda pa, c=c: self.charge_physical_read(c, pa),
-                       stats=StatGroup(f"walker_core{c}"))
-            for c in range(cfg.cores)
-        ]
+        self.walkers = core_walkers(self)
         for c in range(cfg.cores):
             self.stats.register(self.l1_small[c].stats)
             self.stats.register(self.l1_huge[c].stats)
@@ -133,10 +126,7 @@ class ThpBaselineMmu(MmuBase):
             (self.l1_huge if huge else self.l1_small)[core].fill(entry)
             self.l2[core].fill(entry)
 
-        result = self.caches.access(core, physical_block_key(pa), is_write)
-        dram = self.memory_fill(pa, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=pa)
+        return self.physical_access(core, pa, is_write, front)
 
     def tlb_misses(self) -> int:
         """Full-hierarchy misses (walks)."""

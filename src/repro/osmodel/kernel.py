@@ -35,7 +35,7 @@ from repro.osmodel.address_space import (
 from repro.osmodel.frames import FrameAllocator
 from repro.osmodel.index_tree import IndexTree
 from repro.osmodel.pagetable import PERM_READ, PERM_RW, PageFault, PageTableEntry
-from repro.osmodel.segments import OsSegmentTable
+from repro.osmodel.segments import OsSegmentTable, Segment
 
 #: Listener signature for shootdowns: (asid, page_va) of the dead mapping.
 ShootdownFn = Callable[[int, int], None]
@@ -93,6 +93,7 @@ class Kernel:
         self._shootdown_listeners: List[ShootdownFn] = []
         self._flush_listeners: List[FlushFn] = []
         self._permission_listeners: List[Callable[[int, int, int], None]] = []
+        self._segment_listeners: List[Callable[[Segment], None]] = []
         # Frames shared CoW by fork(): owned by more than one address
         # space, so per-process teardown must not free them.  (A full
         # refcount would reclaim them on last exit; this model documents
@@ -166,6 +167,12 @@ class Kernel:
     def on_page_flush(self, listener: FlushFn) -> None:
         """Register a cache hierarchy for per-page flush delivery."""
         self._flush_listeners.append(listener)
+
+    def on_segment_removed(self, listener: Callable[[Segment], None]) -> None:
+        """Register a segment-translating structure (direct-segment
+        registers, a range TLB) for delivery of removed eager segments,
+        whose pages the per-page shootdowns of :meth:`munmap` never reach."""
+        self._segment_listeners.append(listener)
 
     def _shootdown(self, asid: int, page_va: int) -> None:
         self.stats.add("shootdowns")
@@ -255,6 +262,8 @@ class Kernel:
                        for other_seg in other.segments):
                     continue
                 self.segment_table.remove(seg.seg_id)
+                for listener in self._segment_listeners:
+                    listener(seg)
                 self.frames.free(seg.pbase >> PAGE_SHIFT, seg.length >> PAGE_SHIFT)
                 process.segment_allocator.forget(seg)
         process.remove_vma(vma)

@@ -71,7 +71,6 @@ class ReportBundle:
         "repro.sweep/v1": "sweeps",
         "repro.profile/v1": "profiles",
         "repro.bench/v2": "bench",
-        "repro.bench/v1": "bench",
         "repro.bench.report/v1": "bench_reports",
         "repro.trace/v1": "traces",
     }

@@ -97,8 +97,10 @@ class ManySegmentTranslator:
         if lookup.seg_id is not None:
             segment, table_cycles = self.hw_table.read(lookup.seg_id)
             cycles += table_cycles
-        if segment is None or not segment.contains(va):
+        if segment is None or segment.asid != asid or not segment.contains(va):
             # Not covered: raise to the OS (cold allocation, stale tree).
+            # The rightmost key <= ASID+VA can belong to the preceding
+            # address space, whose segment may span the same VA.
             self.stats.add("segment_faults")
             raise SegmentFault(asid, va)
 

@@ -105,6 +105,13 @@ class DirectSegment:
         self.configure(segment.asid, segment.vbase, segment.vlimit,
                        segment.offset)
 
+    def remove(self, segment: Segment) -> None:
+        """Clear the registers that cover ``segment`` (the OS removed it)."""
+        registers = self._registers.get(segment.asid)
+        if (registers is not None and registers[0] < segment.vlimit
+                and segment.vbase < registers[1]):
+            del self._registers[segment.asid]
+
     def translate(self, asid: int, va: int) -> Optional[int]:
         """PA when inside the direct segment, else None (use paging)."""
         self.stats.add("lookups")

@@ -1,8 +1,7 @@
-"""TLB structures: baseline hierarchy, synonym TLB, delayed TLB, walker."""
+"""TLB structures: set-associative TLB, per-core hierarchy, page walker."""
 
 from repro.tlb.base import PERM_READ, PERM_RW, PERM_WRITE, SetAssociativeTlb, TlbEntry
-from repro.tlb.delayed import DelayedTlb
-from repro.tlb.hierarchy import TlbHierarchy, TlbLookupResult
+from repro.tlb.hierarchy import TlbHierarchy
 from repro.tlb.walker import PageWalker, WalkResult
 
 __all__ = [
@@ -11,9 +10,7 @@ __all__ = [
     "PERM_WRITE",
     "SetAssociativeTlb",
     "TlbEntry",
-    "DelayedTlb",
     "TlbHierarchy",
-    "TlbLookupResult",
     "PageWalker",
     "WalkResult",
 ]

@@ -92,6 +92,13 @@ class PageWalker:
         self.cycles_hist.record(cycles)
         return WalkResult(cycles, len(touched), hit, translation)
 
+    def translate(self, asid: int, va: int) -> Tuple[int, int, int]:
+        """Walk and return ``(pa, cycles, permissions)``: the shape of a
+        TLB miss handler and of a delayed-translation engine."""
+        walk = self.walk(asid, va)
+        translation = walk.translation
+        return translation.pa, walk.cycles, translation.permissions
+
     def flush(self) -> None:
         """Drop walk-cache contents (address-space teardown / remap storms)."""
         self._walk_cache.clear()

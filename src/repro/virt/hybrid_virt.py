@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.common.address import (
+    PAGE_MASK,
     PAGE_SHIFT,
     physical_block_key,
     virtual_block_key,
@@ -32,7 +33,6 @@ from repro.osmodel.segments import SegmentFault
 from repro.segtrans.many_segment import ManySegmentTranslator
 from repro.segtrans.segment_cache import SegmentCache
 from repro.tlb.base import SetAssociativeTlb, TlbEntry
-from repro.tlb.delayed import DelayedTlb
 from repro.tlb.hierarchy import TlbHierarchy
 from repro.virt.hypervisor import Hypervisor, VirtualMachine
 from repro.virt.twod_walker import TwoDWalker
@@ -72,6 +72,7 @@ class VirtConventionalMmu(_VirtMmuBase):
             self.stats.register(self.tlbs[c].stats)
         self.stats.register(self.walker.stats)
         self.stats.register(self.walker.nested_tlb.stats)
+        self._miss = self.walker.translate
         vm.guest_kernel.on_shootdown(self._guest_shootdown)
 
     def _guest_shootdown(self, guest_asid: int, page_va: int) -> None:
@@ -81,26 +82,9 @@ class VirtConventionalMmu(_VirtMmuBase):
 
     def access(self, core: int, asid: int, va: int, is_write: bool) -> AccessOutcome:
         self._accesses += 1
-        page_key = virtual_page_key(self.asid_of(asid), va)
-        lookup = self.tlbs[core].lookup(page_key)
-        front = 0
-        if lookup.level == "l1":
-            entry = lookup.entry
-        elif lookup.level == "l2":
-            entry = lookup.entry
-            front = self.config.l2_tlb.latency
-        else:
-            walk = self.walker.walk(asid, va)
-            front = self.config.l2_tlb.latency + walk.cycles
-            entry = TlbEntry(page_key, walk.ma >> PAGE_SHIFT, True,
-                             walk.permissions)
-            self.tlbs[core].fill(entry)
-        assert entry is not None
-        ma = (entry.pfn << PAGE_SHIFT) | (va & 0xFFF)
-        result = self.caches.access(core, physical_block_key(ma), is_write)
-        dram = self.memory_fill(ma, is_write) if result.llc_miss else 0
-        return AccessOutcome(front, result.latency, 0, dram, result.hit_level,
-                             translated_pa=ma)
+        ma, front = self.tlbs[core].translate(
+            virtual_page_key(self.asid_of(asid), va), asid, va, self._miss)
+        return self.physical_access(core, ma, is_write, front)
 
 
 class Delayed2dTlbEngine:
@@ -108,21 +92,20 @@ class Delayed2dTlbEngine:
 
     def __init__(self, mmu: "VirtHybridMmu") -> None:
         self.mmu = mmu
-        self.tlb = DelayedTlb(mmu.config.delayed_tlb)
+        self.tlb = SetAssociativeTlb(mmu.config.delayed_tlb, "delayed_tlb")
         mmu.stats.register(self.tlb.stats)
 
     def translate(self, guest_asid: int, gva: int) -> Tuple[int, int, int]:
         page_key = virtual_page_key(self.mmu.asid_of(guest_asid), gva)
         entry = self.tlb.lookup(page_key)
         cycles = self.tlb.latency
-        if entry is None:
-            walk = self.mmu.walker.walk(guest_asid, gva)
-            cycles += walk.cycles
-            entry = TlbEntry(page_key, walk.ma >> PAGE_SHIFT, True,
-                             walk.permissions)
-            self.tlb.fill(entry)
-        ma = (entry.pfn << PAGE_SHIFT) | (gva & 0xFFF)
-        return ma, cycles, entry.permissions
+        if entry is not None:
+            return ((entry.pfn << PAGE_SHIFT) | (gva & PAGE_MASK), cycles,
+                    entry.permissions)
+        ma, walk_cycles, permissions = self.mmu.walker.translate(guest_asid,
+                                                                 gva)
+        self.tlb.fill(TlbEntry(page_key, ma >> PAGE_SHIFT, True, permissions))
+        return ma, cycles + walk_cycles, permissions
 
 
 class DelayedSegment2dEngine:
@@ -161,8 +144,9 @@ class DelayedSegment2dEngine:
         except SegmentFault:
             # Uncovered gVA (demand mapping): full nested walk fallback.
             self.stats.add("nested_fallbacks")
-            walk = self.mmu.walker.walk(guest_asid, gva)
-            return walk.ma, cycles + walk.cycles, walk.permissions
+            ma, walk_cycles, permissions = self.mmu.walker.translate(guest_asid,
+                                                                     gva)
+            return ma, cycles + walk_cycles, permissions
         gpa = guest.pa
         cycles += guest.cycles
         host_segment = self.mmu.vm.host_segment_for(gpa)
@@ -213,7 +197,7 @@ class VirtHybridMmu(_VirtMmuBase):
         page_key = virtual_page_key(self.asid_of(guest_asid), page_va)
         self.synonym_tlb.invalidate(page_key)
         if isinstance(self.delayed, Delayed2dTlbEngine):
-            self.delayed.tlb.shootdown(page_key)
+            self.delayed.tlb.invalidate(page_key)
 
     def _guest_flush_page(self, guest_asid: int, page_va: int,
                           was_shared: bool) -> None:
@@ -306,7 +290,7 @@ class VirtHybridMmu(_VirtMmuBase):
             self.synonym_tlb.fill(entry)
         if entry.is_synonym:
             self.hybrid_stats.add("true_synonym_accesses")
-            ma = (entry.pfn << PAGE_SHIFT) | (gva & 0xFFF)
+            ma = (entry.pfn << PAGE_SHIFT) | (gva & PAGE_MASK)
             return physical_block_key(ma), front, ma
         self.hybrid_stats.add("false_positive_accesses")
         return virtual_block_key(self.asid_of(guest_asid), gva), front, None

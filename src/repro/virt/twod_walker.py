@@ -21,7 +21,7 @@ addresses via the injected ``charge`` callback, as in the native walker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.common.address import PAGE_SHIFT, page_base
 from repro.common.params import WalkerConfig
@@ -160,3 +160,9 @@ class TwoDWalker:
         counters["memory_reads"] += reads
         counters["walk_cycles"] += cycles
         return TwoDWalkResult(ma, permissions, guest.shared, cycles, reads)
+
+    def translate(self, guest_asid: int, gva: int) -> Tuple[int, int, int]:
+        """Walk and return ``(ma, cycles, permissions)``: the shape of a
+        TLB miss handler and of a delayed-translation engine."""
+        walk = self.walk(guest_asid, gva)
+        return walk.ma, walk.cycles, walk.permissions

@@ -9,14 +9,11 @@ import pytest
 
 from repro.bench import (
     BENCH_SCHEMA,
-    BENCH_SCHEMA_V1,
     compare_baselines,
     jobs_from_baseline,
     load_baseline,
     make_baseline,
     metrics_from_result,
-    migrate_file,
-    migrate_v1,
     run_suite,
     save_baseline,
     suite_jobs,
@@ -28,7 +25,7 @@ FAST = dict(accesses=600, warmup=200)
 
 def _v1_doc():
     return {
-        "schema": BENCH_SCHEMA_V1,
+        "schema": "repro.bench/v1",
         "generated_unix": 1_700_000_000.0,
         "host": "somewhere",
         "python": "3.11.7",
@@ -58,21 +55,12 @@ class TestSchema:
             assert field in doc["meta"]
             assert field not in doc
 
-    def test_migrate_v1(self):
-        migrated = migrate_v1(_v1_doc())
-        assert migrated["schema"] == BENCH_SCHEMA
-        assert migrated["meta"]["host"] == "somewhere"
-        assert migrated["meta"]["git_sha"] is None
-        assert "host" not in migrated
-        assert migrated["benchmarks"][0] == {"name": "test_fig4",
-                                             "seconds": 12.5, "metrics": {}}
-        assert migrated["artifact_lines"] == ["a line"]
-
-    def test_load_migrates_v1_and_round_trips_v2(self, tmp_path):
+    def test_load_rejects_v1_and_round_trips_v2(self, tmp_path):
         path = tmp_path / "base.json"
         path.write_text(json.dumps(_v1_doc()))
-        doc = load_baseline(path)
-        assert doc["schema"] == BENCH_SCHEMA
+        with pytest.raises(ValueError, match="expected repro.bench/v2"):
+            load_baseline(path)
+        doc = make_baseline([_entry(ipc=0.5)], artifact_lines=["a line"])
         save_baseline(doc, path)
         assert load_baseline(path) == doc
 
@@ -81,13 +69,6 @@ class TestSchema:
         path.write_text(json.dumps({"schema": "something/v9"}))
         with pytest.raises(ValueError, match="expected repro.bench/v2"):
             load_baseline(path)
-
-    def test_migrate_file_in_place(self, tmp_path):
-        path = tmp_path / "latest.json"
-        path.write_text(json.dumps(_v1_doc()))
-        assert migrate_file(path) is True
-        assert json.loads(path.read_text())["schema"] == BENCH_SCHEMA
-        assert migrate_file(path) is False  # second pass is a no-op
 
     def test_committed_baselines_are_v2(self):
         for name in ("latest.json", "model_baseline.json"):
@@ -265,14 +246,3 @@ class TestCli:
         save_baseline(make_baseline([{"name": "t", "seconds": 1.0}]), path)
         with pytest.raises(SystemExit, match="no re-runnable"):
             main(["bench", "check", "--baseline", str(path)])
-
-    def test_migrate_command(self, tmp_path, capsys):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(_v1_doc()))
-        assert main(["bench", "migrate", str(path)]) == 0
-        assert "migrated to v2" in capsys.readouterr().out
-        assert main(["bench", "migrate", str(path)]) == 0
-        assert "already v2" in capsys.readouterr().out
-
-    def test_migrate_missing_file_fails(self, tmp_path, capsys):
-        assert main(["bench", "migrate", str(tmp_path / "none.json")]) == 1

@@ -59,11 +59,11 @@ class TestHierarchyAccessors:
         from repro.tlb import TlbHierarchy, TlbEntry
 
         h = TlbHierarchy(TlbConfig(4, 2, 1), TlbConfig(16, 4, 7))
-        h.lookup(0x1234)
+        h.translate(0x1234, 1, 0x5000, lambda asid, va: (0x9000, 30, 0x3))
         assert h.accesses() == 1
         assert h.misses() == 1
-        h.fill(TlbEntry(0x1234, 1, True))
-        h.lookup(0x1234)
+        h.fill(TlbEntry(0x1235, 1, True))
+        h.translate(0x1235, 1, 0x6000, None)  # L1 hit: no miss handler
         assert h.accesses() == 2
         assert h.misses() == 1
 

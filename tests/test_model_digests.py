@@ -6,7 +6,8 @@ seed 7 and hashes the canonical JSON of everything the model computes:
 ``instructions``.  The points cover every native configuration
 (``MMU_CONFIGS`` + ``PRIOR_CONFIGS``) and the virtualized MMUs
 (``VirtConventionalMmu`` and ``VirtHybridMmu`` with the delayed TLB and
-with segments) on gups (random), postgres (sharing) and mcf (segments).
+with segments) on gups (random), postgres and ferret (sharing), mcf
+(segments) and stream (streaming).
 
 A digest difference means the simulated model changed.  Host-side
 refactors and optimizations must keep every digest; an intentional model
@@ -31,7 +32,7 @@ from repro.sim.simulator import Simulator
 from repro.virt import Hypervisor, VirtConventionalMmu, VirtHybridMmu
 
 DIGESTS_PATH = pathlib.Path(__file__).with_name("model_digests.json")
-WORKLOADS = ("gups", "postgres", "mcf")
+WORKLOADS = ("gups", "postgres", "mcf", "stream", "ferret")
 VIRT_MMUS = ("virt_baseline", "virt_hybrid_tlb", "virt_hybrid_segments")
 MMUS = MMU_CONFIGS + PRIOR_CONFIGS + VIRT_MMUS
 ACCESSES, WARMUP, SEED = 1500, 500, 7

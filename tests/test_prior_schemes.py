@@ -14,6 +14,7 @@ from repro.core import (
     RmmMmu,
 )
 from repro.osmodel import Kernel
+from repro.osmodel.kernel import SegmentationViolation
 from repro.osmodel.pagetable import PERM_READ, PERM_RW
 
 MB = 1024 * 1024
@@ -85,6 +86,22 @@ class TestRmmMmu:
         out = mmu.access(0, p.asid, stack.vbase, False)
         assert out.translated_pa == kernel.translate(p.asid, stack.vbase).pa
         assert mmu.walkers[0].stats["walks"] == 1
+
+
+class TestSegmentMunmap:
+    """Segment-translated pages never enter the page table, so munmap's
+    per-page shootdowns cannot reach them: the kernel's segment-removal
+    notice must retire the registers and the cached range."""
+
+    @pytest.mark.parametrize("mmu_cls", [ConventionalMmu, DirectSegmentMmu,
+                                         RmmMmu])
+    def test_dead_va_faults_after_munmap(self, mmu_cls):
+        kernel, p, vma, mmu = setup(mmu_cls)
+        va = vma.vbase + 4 * MB
+        assert mmu.access(0, p.asid, va, False).translated_pa is not None
+        kernel.munmap(p, vma)
+        with pytest.raises(SegmentationViolation):
+            mmu.access(0, p.asid, va, False)
 
 
 class TestEnigmaMmu:

@@ -171,6 +171,21 @@ class TestManySegmentTranslator:
         with pytest.raises(SegmentFault):
             ms.translate(p.asid, 0x7ead_0000_0000)
 
+    def test_other_address_space_segment_is_not_a_hit(self):
+        # The index tree's rightmost key <= ASID+VA for a VA below q's
+        # first segment is p's segment, which spans that VA: the
+        # containment check must match the ASID too.
+        kernel = Kernel(SystemConfig())
+        p = kernel.create_process("p", va_base=0x1000_0000)
+        q = kernel.create_process("q", va_base=0x1040_0000)
+        kernel.mmap(p, 8 * MB, policy="eager")
+        kernel.mmap(q, 1 * MB, policy="eager")
+        ms = ManySegmentTranslator(kernel, use_segment_cache=False)
+        with pytest.raises(SegmentFault):
+            ms.translate(q.asid, 0x1020_0000)
+        assert (ms.translate(p.asid, 0x1020_0000).pa
+                == kernel.translate(p.asid, 0x1020_0000).pa)
+
     def test_table_mutation_flushes_structures(self):
         kernel, p, vma = self._kernel_with_segments()
         ms = ManySegmentTranslator(kernel)

@@ -1,9 +1,11 @@
-"""Stateful property testing of the kernel + hybrid MMU stack.
+"""Stateful property testing of the kernel + MMU stack.
 
 A hypothesis rule machine drives random OS activity (mmap of both
-policies, sharing, mprotect, DMA registration, fork, munmap) interleaved
-with memory accesses through the hybrid MMU, and checks the system-wide
-invariants after every step:
+policies, sharing, mprotect, DMA registration, munmap) interleaved with
+memory accesses through one MMU configuration, and checks the
+system-wide invariants after every step.  It runs on the hybrid MMU with
+each delayed engine and on the physically tagged MMUs that share the
+paging front end (baseline, THP, direct segment, RMM):
 
 * every access resolves to the kernel's functional translation;
 * true synonym pages are always filter candidates (no false negatives,
@@ -26,9 +28,9 @@ from hypothesis import strategies as st
 
 from repro.common.address import PAGE_SIZE, page_base, virtual_block_key
 from repro.common.params import CacheConfig, SystemConfig
-from repro.core import HybridMmu
 from repro.osmodel import Kernel
 from repro.osmodel.pagetable import PERM_READ
+from repro.sim.runner import build_mmu
 
 MB = 1024 * 1024
 
@@ -44,14 +46,16 @@ def small_system():
     )
 
 
-class HybridSystemMachine(RuleBasedStateMachine):
+class SystemMachine(RuleBasedStateMachine):
+    MMU = "hybrid_tlb"
+
     @initialize()
     def setup(self):
         self.config = small_system()
         self.kernel = Kernel(self.config)
         self.a = self.kernel.create_process("a")
         self.b = self.kernel.create_process("b")
-        self.mmu = HybridMmu(self.kernel, self.config, delayed="tlb")
+        self.mmu = build_mmu(self.MMU, self.kernel, self.config)
         self.vmas = {self.a.asid: [], self.b.asid: []}
         self.shared = []  # (asid, vma) pairs for live shared mappings
         # Seed each process with one mapping so accesses always have a
@@ -182,7 +186,17 @@ class HybridSystemMachine(RuleBasedStateMachine):
                 == frames.total_frames)
 
 
-HybridSystemMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None)
+def machine_test(mmu: str):
+    """The state machine's test case on one MMU configuration."""
+    machine = type(f"SystemMachine_{mmu}", (SystemMachine,), {"MMU": mmu})
+    machine.TestCase.settings = settings(
+        max_examples=25, stateful_step_count=30, deadline=None)
+    return machine.TestCase
 
-TestHybridSystemMachine = HybridSystemMachine.TestCase
+
+TestHybridSystemMachine = machine_test("hybrid_tlb")
+TestHybridSegmentsSystemMachine = machine_test("hybrid_segments")
+TestBaselineSystemMachine = machine_test("baseline")
+TestBaselineThpSystemMachine = machine_test("baseline_thp")
+TestDirectSegmentSystemMachine = machine_test("direct_segment")
+TestRmmSystemMachine = machine_test("rmm")

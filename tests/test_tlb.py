@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.common.address import virtual_page_key
 from repro.common.params import TlbConfig, WalkerConfig
 from repro.tlb import (
-    DelayedTlb,
     PageWalker,
     SetAssociativeTlb,
     TlbEntry,
@@ -109,20 +108,34 @@ class TestTlbHierarchy:
     def _hier(self):
         return TlbHierarchy(TlbConfig(4, 2, 1), TlbConfig(16, 4, 7))
 
+    @staticmethod
+    def _walk(calls, cycles=30):
+        def miss(asid, va):
+            calls.append((asid, va))
+            return 0x9000 | (va & 0xFFF), cycles, 0x1
+        return miss
+
     def test_miss_reports_combined_latency(self):
         h = self._hier()
-        res = h.lookup(virtual_page_key(1, 0x1000))
-        assert res.entry is None
-        assert res.level == "miss"
-        assert res.latency == 8
+        calls = []
+        va = 0x1234
+        pa, front = h.translate(virtual_page_key(1, va), 1, va,
+                                self._walk(calls))
+        assert calls == [(1, va)]
+        assert pa == 0x9234
+        assert front == 7 + 30  # L2 probe + miss handler; L1 overlapped
+        assert h.l1.probe(virtual_page_key(1, va)).permissions == 0x1
+        assert h.l2.probe(virtual_page_key(1, va)) is not None
 
     def test_l1_hit(self):
         h = self._hier()
-        e = entry(1, 1)
+        e = entry(1, 1, pfn=5)
         h.fill(e)
-        res = h.lookup(e.page_key)
-        assert res.level == "l1"
-        assert res.latency == 1
+        calls = []
+        pa, front = h.translate(e.page_key, 1, 0x1010, self._walk(calls))
+        assert (pa, front) == (0x5010, 0)
+        assert calls == []
+        assert h.stats["l1_hits"] == 1
 
     def test_l2_hit_refills_l1(self):
         h = self._hier()
@@ -131,10 +144,12 @@ class TestTlbHierarchy:
         for e in entries:
             h.fill(e)
         victim_key = entries[0].page_key
-        if h.l1.probe(victim_key) is None:
-            res = h.lookup(victim_key)
-            assert res.level == "l2"
-            assert h.l1.probe(victim_key) is not None
+        assert h.l1.probe(victim_key) is None
+        calls = []
+        pa, front = h.translate(victim_key, 1, 0x10, self._walk(calls))
+        assert (pa, front) == (0x10, 7)
+        assert calls == []
+        assert h.l1.probe(victim_key) is not None
 
     def test_invalidate_both_levels(self):
         h = self._hier()
@@ -154,22 +169,26 @@ class TestTlbHierarchy:
 
 
 class TestDelayedTlb:
+    """The delayed TLB is a plain set-associative TLB behind the LLC."""
+
     def test_basic_flow(self):
-        d = DelayedTlb(TlbConfig(8, 2, 7))
+        d = SetAssociativeTlb(TlbConfig(8, 2, 7), "delayed_tlb")
         key = virtual_page_key(3, 0x5000)
         assert d.lookup(key) is None
         d.fill(TlbEntry(key, 5, True))
         assert d.lookup(key).pfn == 5
-        assert d.misses() == 1
-        assert d.accesses() == 2
-        assert d.hit_rate() == 0.5
+        assert d.latency == 7
+        assert d.stats.name == "delayed_tlb"
+        assert d.stats["misses"] == 1
+        assert d.stats["lookups"] == 2
+        assert d.stats.hit_rate() == 0.5
 
     def test_shootdown(self):
-        d = DelayedTlb(TlbConfig(8, 2, 7))
+        d = SetAssociativeTlb(TlbConfig(8, 2, 7), "delayed_tlb")
         key = virtual_page_key(3, 0x5000)
         d.fill(TlbEntry(key, 5, True))
-        d.shootdown(0x5000 >> 12 | (3 << 36))
-        d.shootdown(key)
+        assert not d.invalidate(0x5000 >> 12 | (4 << 36))  # other ASID
+        assert d.invalidate(key)
         assert d.lookup(key) is None
 
 
