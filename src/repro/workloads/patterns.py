@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.common.rng import zipf_sampler
+from repro.common.rng import below, shuffle, zipf_sampler
 
 OffsetGenerator = Callable[[], int]
 
@@ -36,11 +36,12 @@ def sequential_offsets(rng: random.Random, length: int, stride: int = 8,
     cache line, as a real array sweep produces.
     """
     limit = max(stride, int(length * touch_fraction))
-    state = {"cursor": rng.randrange(0, limit) // stride * stride}
+    cursor = rng.randrange(0, limit) // stride * stride
 
     def nxt() -> int:
-        offset = state["cursor"]
-        state["cursor"] = (offset + stride) % limit
+        nonlocal cursor
+        offset = cursor
+        cursor = (offset + stride) % limit
         return offset
 
     return nxt
@@ -56,9 +57,10 @@ def random_offsets(rng: random.Random, length: int,
                    touch_fraction: float = 1.0) -> OffsetGenerator:
     """Uniform random word-aligned offsets."""
     limit = max(64, int(length * touch_fraction))
+    randbelow = below(rng)
 
     def nxt() -> int:
-        return rng.randrange(0, limit) & ~0x7
+        return randbelow(limit) & ~0x7
 
     return nxt
 
@@ -87,15 +89,15 @@ def zipf_page_offsets(rng: random.Random, length: int, theta: float = 0.8,
     line_pool = min(lines_per_page, total_lines) if lines_per_page else total_lines
     sample_line = zipf_sampler(rng, line_pool, line_theta)
     permutation = list(range(pages))
-    rng.shuffle(permutation)
+    shuffle(rng, permutation)
+    randbelow = below(rng)
 
     def nxt() -> int:
         page = permutation[sample()]
         # Rotate the hot-line ranking per page so hot lines differ
         # between pages (no artificial set-conflict alignment).
         line = (sample_line() + page) % total_lines
-        return (page * page_size + line * 64
-                + (rng.randrange(0, 64) & ~0x7))
+        return page * page_size + line * 64 + (randbelow(64) & ~0x7)
 
     return nxt
 
@@ -109,13 +111,14 @@ def chase_offsets(rng: random.Random, length: int,
     permutation for very large regions.
     """
     slots = max(1, int(length * touch_fraction) // 64)
-    state = {"position": rng.randrange(0, slots)}
+    position = rng.randrange(0, slots)
     multiplier = 6364136223846793005
     increment = rng.randrange(1, 2 ** 31) | 1
 
     def nxt() -> int:
-        state["position"] = (state["position"] * multiplier + increment) % slots
-        return state["position"] * 64
+        nonlocal position
+        position = (position * multiplier + increment) % slots
+        return position * 64
 
     return nxt
 

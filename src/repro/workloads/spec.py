@@ -11,10 +11,12 @@ whose ``trace()`` lazily generates the reference stream.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, cycle, islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.common.rng import make_rng
+from repro.common.rng import below, make_rng
 from repro.osmodel.address_space import Process, Vma
 from repro.osmodel.kernel import Kernel
 from repro.workloads.patterns import build_pattern
@@ -148,51 +150,60 @@ class LaidOutWorkload:
     # ------------------------------------------------------------------ #
 
     def trace(self, accesses: int, seed: Optional[int] = None) -> Iterator[TraceRecord]:
-        """Generate ``accesses`` references, round-robin across processes."""
+        """Generate ``accesses`` references, round-robin across processes.
+
+        The stream is a pure function of (spec, layout, seed): each call
+        builds its own pattern tables, and every RNG helper draws the same
+        bits as the ``random`` method it replaces (see docs/simulation_model.md).
+        """
         spec = self.spec
         rng = make_rng(seed if seed is not None else self.seed,
                        f"{spec.name}-access")
-        generators = [self._process_generator(p, rng) for p in self.processes]
+        slots = [(p.asid, core, self._process_generator(p, rng))
+                 for p, core in zip(self.processes, self.cores)]
+        random_ = rng.random
+        write_fraction = spec.write_fraction
         gap = spec.gap
-        n_processes = len(self.processes)
-        for i in range(accesses):
-            slot = i % n_processes
-            process = self.processes[slot]
-            va = generators[slot]()
-            yield TraceRecord(
-                asid=process.asid,
-                core=self.cores[slot],
-                va=va,
-                is_write=rng.random() < spec.write_fraction,
-                gap=gap,
-            )
+        for asid, core, next_va in islice(cycle(slots), accesses):
+            # The address is drawn before the read/write coin.
+            yield TraceRecord(asid, core, next_va(), random_() < write_fraction, gap)
 
     def _process_generator(self, process: Process, rng: random.Random):
         spec = self.spec
-        vmas = self.private_vmas[process.asid]
-        spans: List[Tuple[int, Vma]] = []
-        cursor = 0
-        for vma in vmas:
-            spans.append((cursor, vma))
-            cursor += vma.length
-        private_length = cursor
+        bases: List[int] = []
+        vbases: List[int] = []
+        limits: List[int] = []
+        private_length = 0
+        for vma in self.private_vmas[process.asid]:
+            bases.append(private_length)
+            vbases.append(vma.vbase)
+            limits.append(vma.length - 8)
+            private_length += vma.length
 
-        weights = [mix.weight for mix in spec.patterns]
         pattern_fns = [
             build_pattern(mix.kind, make_rng(self.seed, f"{spec.name}-{process.asid}-{i}"),
                           private_length, touch_fraction=spec.touch_fraction,
                           **mix.param_dict())
             for i, mix in enumerate(spec.patterns)
         ]
+        # What rng.choices(pattern_fns, weights=...) computes per call.
+        cum_weights = list(accumulate(mix.weight for mix in spec.patterns))
+        total = cum_weights[-1] + 0.0
+        if not 0.0 < total < float("inf"):
+            raise ValueError(f"{spec.name}: pattern weights need a positive, finite total")
+        last_pattern = len(pattern_fns) - 1
         shared_vma = self.shared_vmas.get(process.asid)
         shared_fraction = spec.sharing.access_fraction if spec.sharing else 0.0
         shared_pattern = None
+        shared_base = 0
         if shared_vma is not None:
             shared_pattern = build_pattern(
                 "zipf", make_rng(self.seed, f"{spec.name}-shared"),
                 shared_vma.length, theta=spec.sharing.theta)
+            shared_base = shared_vma.vbase
         stack_vma = self.stack_vmas[process.asid]
-        stack_state = {"cursor": 0}
+        stack_base, stack_length = stack_vma.vbase, stack_vma.length
+        stack_cursor = 0
         hot_bytes = min(spec.hot_bytes,
                         max(4096, int(private_length * spec.touch_fraction)))
         hot_start = 0
@@ -203,30 +214,30 @@ class LaidOutWorkload:
                 # RNG) so repeated trace() calls see the same hot window.
                 hot_rng = make_rng(self.seed, f"{spec.name}-hot-{process.asid}")
                 hot_start = (hot_rng.randrange(0, span) >> 12) << 12
-
-        def next_stack_va() -> int:
-            # Word-stride cycling through the hot region: high line reuse.
-            offset = stack_state["cursor"]
-            stack_state["cursor"] = (offset + 8) % stack_vma.length
-            return stack_vma.vbase + offset
+        local_fraction = spec.local_fraction
+        hot_fraction = spec.hot_fraction
+        random_ = rng.random
+        randbelow = below(rng)
 
         def resolve_private(offset: int) -> int:
-            # Binary search is overkill for the handful of VMAs most specs
-            # have; linear scan from a cached hint would be noise here.
-            for base, vma in reversed(spans):
-                if offset >= base:
-                    return vma.vbase + min(offset - base, vma.length - 8)
-            return spans[0][1].vbase
+            # An offset clamps to the last word of the VMA it falls in.
+            i = bisect_right(bases, offset) - 1
+            offset -= bases[i]
+            limit = limits[i]
+            return vbases[i] + (offset if offset < limit else limit)
 
         def next_va() -> int:
-            if shared_pattern is not None and rng.random() < shared_fraction:
-                return shared_vma.vbase + shared_pattern()
-            if rng.random() < spec.local_fraction:
-                return next_stack_va()
-            if spec.hot_fraction and rng.random() < spec.hot_fraction:
-                return resolve_private(hot_start
-                                       + (rng.randrange(0, hot_bytes) & ~0x7))
-            pattern = rng.choices(pattern_fns, weights=weights)[0]
+            nonlocal stack_cursor
+            if shared_pattern is not None and random_() < shared_fraction:
+                return shared_base + shared_pattern()
+            if random_() < local_fraction:
+                # Word-stride cycling through the hot region: high line reuse.
+                offset = stack_cursor
+                stack_cursor = (offset + 8) % stack_length
+                return stack_base + offset
+            if hot_fraction and random_() < hot_fraction:
+                return resolve_private(hot_start + (randbelow(hot_bytes) & ~0x7))
+            pattern = pattern_fns[bisect_right(cum_weights, random_() * total, 0, last_pattern)]
             return resolve_private(pattern())
 
         return next_va

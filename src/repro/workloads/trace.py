@@ -9,6 +9,7 @@ experiments never materialize a trace in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, List
 
 
@@ -39,8 +40,5 @@ def interleave_round_robin(traces: List[Iterable[TraceRecord]]) -> Iterator[Trac
 
 
 def take(trace: Iterable[TraceRecord], n: int) -> Iterator[TraceRecord]:
-    """Yield at most ``n`` records."""
-    for i, record in enumerate(trace):
-        if i >= n:
-            return
-        yield record
+    """Yield at most ``n`` records, pulling no more than ``n`` from ``trace``."""
+    return islice(trace, n)

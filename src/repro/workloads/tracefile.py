@@ -15,13 +15,19 @@ Two formats:
 
 Both loaders are streaming (constant memory) and validate headers and
 record integrity, so a truncated or foreign file fails loudly instead of
-yielding garbage addresses.
+yielding garbage addresses.  Both formats hold exactly the binary
+record's domain (asid < 2**16, core < 2**8, gap < 2**32, 0 <= va < 2**64,
+none negative): loaders and savers raise :class:`TraceFormatError` outside
+it, and a saver writes to a temporary file that replaces ``path`` only
+once the whole trace is written, so a failed save leaves no trace file.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -38,6 +44,35 @@ class TraceFormatError(Exception):
     """The file is not a valid trace in the expected format."""
 
 
+# Field -> exclusive upper bound: the widths of the binary record.
+_LIMITS = (("asid", 1 << 16), ("core", 1 << 8), ("va", 1 << 64), ("gap", 1 << 32))
+
+
+def _checked(record: TraceRecord, path: PathLike, where: str,
+             number: int) -> TraceRecord:
+    """``record`` if both formats can hold it, else TraceFormatError."""
+    for field, limit in _LIMITS:
+        value = getattr(record, field)
+        if not isinstance(value, int) or not 0 <= value < limit:
+            raise TraceFormatError(f"{path}: {where} {number}: "
+                                   f"{field}={value!r} outside [0, {limit:#x})")
+    return record
+
+
+@contextmanager
+def _replacing(path: PathLike, mode: str):
+    """Open a sibling temporary file that replaces ``path`` on success."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, mode) as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+        raise
+
+
 # ---------------------------------------------------------------------- #
 # Binary format
 # ---------------------------------------------------------------------- #
@@ -45,10 +80,11 @@ class TraceFormatError(Exception):
 def save_binary(path: PathLike, trace: Iterable[TraceRecord]) -> int:
     """Write a trace to the binary format; returns records written."""
     count = 0
-    with open(path, "wb") as handle:
+    with _replacing(path, "wb") as handle:
         handle.write(MAGIC)
         buffer = io.BytesIO()
         for record in trace:
+            _checked(record, path, "record", count)
             flags = _FLAG_WRITE if record.is_write else 0
             buffer.write(_RECORD.pack(record.asid, record.core, flags,
                                       record.gap, record.va))
@@ -73,6 +109,8 @@ def load_binary(path: PathLike) -> Iterator[TraceRecord]:
             if len(chunk) != _RECORD.size:
                 raise TraceFormatError(f"{path}: truncated record")
             asid, core, flags, gap, va = _RECORD.unpack(chunk)
+            if flags & ~_FLAG_WRITE:
+                raise TraceFormatError(f"{path}: unknown flags {flags:#x}")
             yield TraceRecord(asid=asid, core=core, va=va,
                               is_write=bool(flags & _FLAG_WRITE), gap=gap)
 
@@ -84,9 +122,10 @@ def load_binary(path: PathLike) -> Iterator[TraceRecord]:
 def save_text(path: PathLike, trace: Iterable[TraceRecord]) -> int:
     """Write a trace as ``asid,core,va_hex,w|r,gap`` lines."""
     count = 0
-    with open(path, "w") as handle:
+    with _replacing(path, "w") as handle:
         handle.write("# repro trace v1: asid,core,va,rw,gap\n")
         for record in trace:
+            _checked(record, path, "record", count)
             rw = "w" if record.is_write else "r"
             handle.write(f"{record.asid},{record.core},"
                          f"{record.va:#x},{rw},{record.gap}\n")
@@ -96,26 +135,34 @@ def save_text(path: PathLike, trace: Iterable[TraceRecord]) -> int:
 
 def load_text(path: PathLike) -> Iterator[TraceRecord]:
     """Stream records from a text trace file."""
-    with open(path) as handle:
-        first = handle.readline()
-        if not first.startswith("# repro trace v1"):
-            raise TraceFormatError(f"{path}: missing text-trace header")
-        for line_number, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 5 or parts[3] not in ("r", "w"):
-                raise TraceFormatError(
-                    f"{path}:{line_number}: malformed record {line!r}")
-            try:
-                yield TraceRecord(asid=int(parts[0]), core=int(parts[1]),
-                                  va=int(parts[2], 16),
-                                  is_write=parts[3] == "w",
-                                  gap=int(parts[4]))
-            except ValueError as exc:
-                raise TraceFormatError(
-                    f"{path}:{line_number}: {exc}") from exc
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from _text_records(path, handle)
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _text_records(path: PathLike, handle) -> Iterator[TraceRecord]:
+    first = handle.readline()
+    if not first.startswith("# repro trace v1"):
+        raise TraceFormatError(f"{path}: missing text-trace header")
+    for line_number, line in enumerate(handle, start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 5 or parts[3] not in ("r", "w"):
+            raise TraceFormatError(
+                f"{path}:{line_number}: malformed record {line!r}")
+        try:
+            record = TraceRecord(asid=int(parts[0]), core=int(parts[1]),
+                                 va=int(parts[2], 16),
+                                 is_write=parts[3] == "w",
+                                 gap=int(parts[4]))
+        except ValueError as exc:
+            raise TraceFormatError(
+                f"{path}:{line_number}: {exc}") from exc
+        yield _checked(record, path, "line", line_number)
 
 
 # ---------------------------------------------------------------------- #

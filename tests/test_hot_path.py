@@ -1,11 +1,13 @@
-"""Work counts on the translation-miss path, with no timing.
+"""Work counts on the translation-miss path and the trace layer, with no timing.
 
 A TLB miss on an already-mapped page must traverse the radix table
 exactly once (the walker's resolve returns the translation with the PTE
 path) and never call ``Kernel.translate`` again; per-access structures
-count in place instead of through ``StatGroup.add``.
+count in place instead of through ``StatGroup.add``.  Trace generation
+is bounded in executed Python lines per record.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -17,6 +19,7 @@ from repro.common.stats import StatGroup
 from repro.core import ConventionalMmu, HybridMmu
 from repro.osmodel import Kernel
 from repro.osmodel.pagetable import PageTable
+from repro.sim.runner import lay_out
 from repro.virt import Hypervisor, VirtualMachine, VirtConventionalMmu
 
 MB = 1024 * 1024
@@ -135,3 +138,37 @@ def test_l1_hit_makes_no_stat_add(spy):
     spy.clear()
     assert caches.access(0, key, False).hit_level == "l1"
     assert spy["add"] == 0
+
+
+# Executed lines per record before the generator used bisect VMA lookup,
+# precomputed pattern weights and inline RNG draws (Python 3.11, seed 0,
+# 3,000 records): memcached 670 (a linear scan over its 512 VMAs),
+# mcf 274, postgres 115, gups 56.  Bounds are about half of those, and a
+# fifth for memcached.  mcf's is 0.6x: most of its count is the per-call
+# set-up of a 47k-page Zipf table and permutation, which stays O(pages).
+TRACE_LINE_BOUNDS = {"memcached": 134, "mcf": 165, "postgres": 57, "gups": 28}
+
+
+def trace_lines_per_record(name, records=3000):
+    """``sys.settrace`` line events per record, pattern set-up included."""
+    laid_out = lay_out(name, Kernel(SystemConfig()), seed=0)
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for _ in laid_out.trace(records):
+            pass
+    finally:
+        sys.settrace(previous)
+    return lines / records
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_LINE_BOUNDS))
+def test_trace_lines_per_record(name):
+    assert trace_lines_per_record(name) <= TRACE_LINE_BOUNDS[name]

@@ -1,5 +1,7 @@
 """Tests for trace persistence (binary + text formats)."""
 
+import tempfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,3 +131,116 @@ class TestWorkloadIntegration:
         assert len(pas) == 500
         for record, pa in zip(tracefile.load(path), pas):
             assert kernel.translate(record.asid, record.va).pa == pa
+
+
+# The binary record's domain, which both formats hold exactly.
+domain_records = st.lists(
+    st.builds(TraceRecord,
+              asid=st.integers(0, (1 << 16) - 1),
+              core=st.integers(0, (1 << 8) - 1),
+              va=st.integers(0, (1 << 64) - 1),
+              is_write=st.booleans(),
+              gap=st.integers(0, (1 << 32) - 1)),
+    max_size=50)
+
+OUT_OF_DOMAIN = [("asid", -1), ("asid", 1 << 16), ("core", -1), ("core", 1 << 8),
+                 ("va", -16), ("va", 1 << 64), ("gap", -5), ("gap", 1 << 32),
+                 ("asid", 1.5)]
+
+
+def record_with(field, value):
+    fields = dict(asid=1, core=0, va=0x1000, is_write=False, gap=2)
+    fields[field] = value
+    return TraceRecord(**fields)
+
+
+def assert_round_trips(records):
+    """``records`` survive a save/load round trip through both formats."""
+    with tempfile.TemporaryDirectory() as directory:
+        for name in ("t.trc", "t.csv"):
+            path = f"{directory}/{name}"
+            assert tracefile.save(path, records) == len(records)
+            assert list(tracefile.load(path)) == records
+
+
+class TestDomain:
+    def test_text_rejects_negative_fields(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# repro trace v1: asid,core,va,rw,gap\n"
+                        "-1,0,-0x10,r,-5\n")
+        with pytest.raises(tracefile.TraceFormatError, match="line 2"):
+            list(tracefile.load_text(path))
+
+    @pytest.mark.parametrize("field,value", OUT_OF_DOMAIN[:-1])
+    def test_text_rejects_out_of_domain(self, tmp_path, field, value):
+        path = tmp_path / "t.csv"
+        r = record_with(field, value)
+        path.write_text("# repro trace v1: asid,core,va,rw,gap\n"
+                        f"{r.asid},{r.core},{r.va:#x},r,{r.gap}\n")
+        with pytest.raises(tracefile.TraceFormatError, match=field):
+            list(tracefile.load_text(path))
+
+    @pytest.mark.parametrize("suffix", [".trc", ".csv"])
+    @pytest.mark.parametrize("field,value", OUT_OF_DOMAIN)
+    def test_failed_save_leaves_no_file(self, tmp_path, suffix, field, value):
+        path = tmp_path / f"t{suffix}"
+        records = sample_records(3) + [record_with(field, value)]
+        with pytest.raises(tracefile.TraceFormatError, match=field):
+            tracefile.save(path, records)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("suffix", [".trc", ".csv"])
+    def test_failed_save_keeps_previous_file(self, tmp_path, suffix):
+        path = tmp_path / f"t{suffix}"
+        tracefile.save(path, sample_records(4))
+        before = path.read_bytes()
+        with pytest.raises(tracefile.TraceFormatError):
+            tracefile.save(path, [record_with("asid", 70000)])
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_binary_rejects_unknown_flags(self, tmp_path):
+        path = tmp_path / "t.trc"
+        path.write_bytes(tracefile.MAGIC
+                         + tracefile._RECORD.pack(1, 0, 0x2, 2, 0x1000))
+        with pytest.raises(tracefile.TraceFormatError, match="flags"):
+            list(tracefile.load_binary(path))
+
+    def test_text_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"# repro trace v1: asid,core,va,rw,gap\n\xff\xfe\n")
+        with pytest.raises(tracefile.TraceFormatError):
+            list(tracefile.load_text(path))
+
+    @settings(max_examples=50, deadline=None)
+    @given(domain_records)
+    def test_domain_round_trips(self, records):
+        assert_round_trips(records)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(alphabet="0123456789abcdefx-+_, rw#\t", max_size=30),
+                    max_size=8))
+    def test_garbage_lines_fail_loudly_or_round_trip(self, lines):
+        with tempfile.TemporaryDirectory() as directory:
+            path = f"{directory}/t.csv"
+            with open(path, "w") as handle:
+                handle.write("# repro trace v1: asid,core,va,rw,gap\n")
+                handle.write("\n".join(lines))
+            try:
+                records = list(tracefile.load_text(path))
+            except tracefile.TraceFormatError:
+                return
+        assert_round_trips(records)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=80), st.booleans())
+    def test_garbage_bytes_fail_loudly_or_round_trip(self, data, with_magic):
+        with tempfile.TemporaryDirectory() as directory:
+            path = f"{directory}/t.trc"
+            with open(path, "wb") as handle:
+                handle.write((tracefile.MAGIC if with_magic else b"") + data)
+            try:
+                records = list(tracefile.load(path))
+            except tracefile.TraceFormatError:
+                return
+        assert_round_trips(records)

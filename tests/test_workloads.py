@@ -171,6 +171,11 @@ class TestTraceHelpers:
         w = LaidOutWorkload(spec("stream"), kernel)
         assert len(list(take(w.trace(100), 10))) == 10
 
+    def test_take_pulls_only_n(self):
+        source = iter(range(10))
+        assert list(take(source, 3)) == [0, 1, 2]
+        assert next(source) == 3
+
     def test_interleave_round_robin(self):
         kernel = Kernel(SystemConfig())
         w1 = LaidOutWorkload(spec("stream"), kernel, seed=1)
@@ -178,3 +183,15 @@ class TestTraceHelpers:
         merged = list(interleave_round_robin([w1.trace(10), w2.trace(10)]))
         assert len(merged) == 20
         assert merged[0].asid != merged[1].asid
+
+
+def test_zero_pattern_weights_rejected():
+    from dataclasses import replace
+
+    from repro.workloads import PatternMix
+
+    bad = replace(spec("stream"), name="zero-weights",
+                  patterns=(PatternMix("sequential", 0.0),))
+    w = LaidOutWorkload(bad, Kernel(SystemConfig()))
+    with pytest.raises(ValueError, match="positive, finite"):
+        next(w.trace(10))
