@@ -18,13 +18,15 @@ switch parallelizes or caches every figure regeneration:
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
+import platform
+import subprocess
 import time
 
 import pytest
 
-from repro.bench import make_baseline, save_baseline
 from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
 
 #: Wall-clock of every experiment wrapped by :func:`run_once` this
@@ -81,8 +83,9 @@ def report():
         (results_dir / "latest.txt").write_text("\n".join(lines) + "\n")
     if lines or _TIMINGS:
         results_dir.mkdir(exist_ok=True)
-        doc = make_baseline(_TIMINGS, artifact_lines=lines)
-        save_baseline(doc, results_dir / "latest.json")
+        doc = session_record(_TIMINGS, lines)
+        (results_dir / "latest.json").write_text(json.dumps(doc, indent=2)
+                                                 + "\n")
         # The human-facing twin: the same document folded into the
         # self-contained HTML report (scorecard + baseline section).
         from repro.report import ReportBundle, build_report
@@ -92,6 +95,30 @@ def report():
         (results_dir / "latest.html").write_text(
             build_report(bundle, title="Benchmark session report"),
             encoding="utf-8")
+
+
+def _git_sha():
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"],
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
+
+
+def session_record(timings, lines) -> dict:
+    """The ``repro.bench/v2`` session document: per-experiment wall-clock
+    and the artifact lines, with volatile provenance under ``meta``."""
+    return {
+        "schema": "repro.bench/v2",
+        "meta": {"generated_unix": time.time(), "host": platform.node(),
+                 "python": platform.python_version(),
+                 "git_sha": _git_sha()},
+        "benchmarks": [dict(entry, metrics={}) for entry in timings],
+        "total_seconds": sum(entry["seconds"] for entry in timings),
+        "artifact_lines": list(lines),
+    }
 
 
 def emit(report, text: str) -> None:

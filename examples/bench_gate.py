@@ -1,58 +1,57 @@
 #!/usr/bin/env python
-"""The benchmark regression gate, end to end and in memory.
+"""The model-regression check, end to end and in memory.
 
-1. run the canonical model-metric suite and assemble a
-   ``repro.bench/v2`` baseline (what ``repro bench record`` writes);
-2. re-run it and compare — model metrics are deterministic, so the gate
-   passes with every delta at exactly 0%;
-3. inject a 20% IPC regression into a copy of the "current" document and
-   watch the same comparison fail.
+1. simulate two of the pinned points and diff their snapshots against
+   the committed ``tests/model_snapshots.json`` — the model is
+   deterministic, so nothing moves;
+2. perturb the model (count every DRAM stall twice, as a slip in the
+   timing model would) and diff again: every moved value is named as
+   ``point: key old → new``.
 
-Equivalent CLI: ``repro bench record --out baseline.json`` then
-``repro bench check --baseline baseline.json``.
+Equivalent CLI: ``repro bench check`` (all 60 points; exits 1 when any
+key moved), and ``repro bench record`` after an intentional change.
 """
 
-import copy
+from repro import bench
+from repro.timing.model import TimingModel
 
-from repro.bench import (
-    compare_baselines,
-    jobs_from_baseline,
-    make_baseline,
-    run_suite,
-    suite_jobs,
-)
+POINTS = [("stream", "baseline"), ("mcf", "hybrid_segments")]
 
-ACCESSES = 3_000
-WARMUP = 1_000
-POINTS = [("stream/baseline", "stream", "baseline"),
-          ("stream/hybrid_tlb", "stream", "hybrid_tlb")]
+
+def check():
+    """The diff of ``POINTS`` against their committed snapshots."""
+    committed = bench.load_snapshots()
+    old, new = {}, {}
+    for point in POINTS:
+        name = bench.point_name(*point)
+        old[name] = committed[name]
+        new[name] = bench.snapshot(*point)
+    return bench.diff(old, new)
+
+
+def report(lines) -> None:
+    print(f"verdict: {'FAIL' if lines else 'PASS'} "
+          f"({len(POINTS)} points, {len(lines)} moved keys)")
+    for line in lines:
+        print(f"  {line}")
 
 
 def main() -> None:
-    print("-- recording the baseline --")
-    baseline = make_baseline(run_suite(
-        suite_jobs(points=POINTS, accesses=ACCESSES, warmup=WARMUP)))
-    for entry in baseline["benchmarks"]:
-        metrics = "  ".join(f"{k}={v:.4g}"
-                            for k, v in sorted(entry["metrics"].items()))
-        print(f"{entry['name']:<22} {metrics}")
+    print("-- the committed model --")
+    report(check())
 
-    print("\n-- re-running the suite the baseline describes --")
-    current = make_baseline(run_suite(jobs_from_baseline(baseline)))
-    report = compare_baselines(baseline, current, threshold_pct=10.0)
-    print(f"verdict: {'PASS' if report.ok else 'FAIL'} "
-          f"({len(report.deltas)} metric deltas, "
-          f"{len(report.regressions)} regressions)")
+    print("\n-- a perturbed model: every DRAM stall counted twice --")
+    record = TimingModel.record
 
-    print("\n-- injecting a 20% IPC regression --")
-    broken = copy.deepcopy(current)
-    broken["benchmarks"][0]["metrics"]["ipc"] *= 0.8
-    report = compare_baselines(baseline, broken, threshold_pct=10.0)
-    print(f"verdict: {'PASS' if report.ok else 'FAIL'}")
-    for delta in report.regressions:
-        print(f"  {delta.benchmark} {delta.metric}: "
-              f"{delta.baseline:.4g} -> {delta.current:.4g} "
-              f"({delta.change_pct:+.1f}%) {delta.status}")
+    def record_dram_twice(self, outcome, instructions_between=1):
+        record(self, outcome, instructions_between)
+        self.acct.dram_stall_cycles += outcome.dram_cycles
+
+    TimingModel.record = record_dram_twice
+    try:
+        report(check())
+    finally:
+        TimingModel.record = record
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Live telemetry end to end: registry, heartbeats, /metrics, history.
+"""Live telemetry end to end: registry, heartbeats, /metrics.
 
 Long experiment campaigns used to run dark — this tour shows the
 telemetry layer that closes the gap:
@@ -11,18 +11,13 @@ telemetry layer that closes the gap:
    mid-run with ``urllib``;
 2. the deterministic end-of-plan fold is demonstrated by re-running the
    same plan on a process pool and comparing the rendered exposition
-   byte for byte;
-3. the results are ingested into a :class:`MetricsStore` (a SQLite
-   file) and one metric's cross-run trend is printed — the same store
-   ``repro db ingest | query | trend`` and ``repro bench check --db``
-   use.
+   byte for byte.
 
 CLI equivalent: ``repro compare gups --live --metrics-port 0
---metrics-out metrics.jsonl`` followed by ``repro db ingest``.
+--metrics-out metrics.jsonl``.
 """
 
 import os
-import tempfile
 import urllib.request
 
 from repro.exec import (ExperimentPlan, Job, ParallelExecutor, RunContext,
@@ -30,7 +25,6 @@ from repro.exec import (ExperimentPlan, Job, ParallelExecutor, RunContext,
 from repro.obs.heartbeat import BeatSpec, HeartbeatMonitor, open_beat_channel
 from repro.obs.metrics import (MetricsRegistry, MetricsServer,
                                render_prometheus)
-from repro.obs.store import MetricsStore, format_trend
 
 ACCESSES = 30_000
 WARMUP = 10_000
@@ -45,13 +39,13 @@ def build_jobs():
 
 def run_with_telemetry(executor, parallel):
     """One plan run with registry + heartbeats; returns the registry
-    and the plan results."""
+    and the heartbeat monitor."""
     registry = MetricsRegistry()
     channel, manager = open_beat_channel(parallel)
     monitor = HeartbeatMonitor(channel, registry=registry)
     monitor.start()
     try:
-        results = ExperimentPlan(build_jobs()).run(
+        ExperimentPlan(build_jobs()).run(
             executor=executor,
             ctx=RunContext(metrics=registry,
                            beat=BeatSpec(queue=channel, every=1024)))
@@ -59,13 +53,12 @@ def run_with_telemetry(executor, parallel):
         monitor.stop()
         if manager is not None:
             manager.shutdown()
-    return registry, monitor, results
+    return registry, monitor
 
 
 def live_section():
     print("-- live run with a /metrics endpoint --")
-    registry, monitor, _results = run_with_telemetry(SerialExecutor(),
-                                                     parallel=False)
+    registry, monitor = run_with_telemetry(SerialExecutor(), parallel=False)
     with MetricsServer(registry, port=0) as server:
         url = f"http://{server.host}:{server.port}/metrics"
         body = urllib.request.urlopen(url).read().decode("utf-8")
@@ -83,7 +76,7 @@ def live_section():
 def determinism_section(serial_registry):
     print()
     print("-- the metric-identity guarantee --")
-    parallel_registry, _monitor, _results = run_with_telemetry(
+    parallel_registry, _monitor = run_with_telemetry(
         ParallelExecutor(workers=WORKERS), parallel=True)
     serial_text = render_prometheus(serial_registry)
     parallel_text = render_prometheus(parallel_registry)
@@ -93,29 +86,9 @@ def determinism_section(serial_registry):
     print(f"byte-identical exposition: {serial_text == parallel_text}")
 
 
-def store_section(results):
-    print()
-    print("-- cross-run metrics store --")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "history.sqlite")
-        with MetricsStore(path) as store:
-            for job in build_jobs():
-                doc = results.result(job).to_json_dict()
-                # The manifest records only the MMU *class* ("hybrid"
-                # for both hybrid variants); the config name keeps the
-                # store rows distinct, exactly as the CLI records it.
-                doc["config"] = job.mmu
-                store.ingest(doc, source="live_telemetry example")
-            print(f"ingested {len(store)} run(s) into {os.path.basename(path)}")
-            print(format_trend(store.trend("ipc"), "ipc"))
-
-
 def main():
     registry = live_section()
     determinism_section(registry)
-    _registry, _monitor, results = run_with_telemetry(SerialExecutor(),
-                                                      parallel=False)
-    store_section(results)
 
 
 if __name__ == "__main__":

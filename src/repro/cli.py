@@ -12,14 +12,12 @@ Subcommands:
 * ``trace``      — the trace-analysis surface: ``trace view`` analyzes
   recorded JSONL event traces offline, ``trace workload`` profiles a
   workload's address stream;
-* ``bench``      — benchmark baselines: ``record`` / ``check`` (the
-  regression gate);
-* ``db``         — the cross-run metrics store: ``ingest`` recorded
-  JSON documents into a SQLite history, ``query`` and ``trend`` it;
+* ``bench``      — the model-regression check: ``check`` re-simulates
+  the 60 pinned points and names every key that moved, ``record``
+  rewrites the committed snapshots and digests;
 * ``report``     — the self-contained HTML report: ``report build``
-  folds recorded JSON documents (+ optional trace shards and a ``--db``
-  history) into one static page with the paper-fidelity scorecard,
-  ``report bench`` renders a ``repro.bench.report/v1`` gate report;
+  folds recorded JSON documents (+ optional trace shards) into one
+  static page with the paper-fidelity scorecard;
 * ``serve``      — the long-lived simulation service: accepts
   ``repro.job/v1`` submissions over HTTP, coalesces duplicate in-flight
   requests by fingerprint, serves cache hits from ``--cache-dir``, and
@@ -316,8 +314,8 @@ def _run_context(args) -> Iterator[RunContext]:
             telemetry.finish()
 
 
-def _write_report_out(args, *docs, label: str) -> None:
-    """``--report-out FILE``: fold this command's documents into a
+def _write_report_out(args, doc, label: str) -> None:
+    """``--report-out FILE``: fold this command's document into a
     self-contained HTML report (see ``repro report build``)."""
     out = getattr(args, "report_out", None)
     if not out:
@@ -325,8 +323,7 @@ def _write_report_out(args, *docs, label: str) -> None:
     from repro.report import ReportBundle, build_report
 
     bundle = ReportBundle()
-    for doc in docs:
-        bundle.add_doc(doc, source=label)
+    bundle.add_doc(doc, source=label)
     try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(build_report(bundle))
@@ -643,156 +640,45 @@ def cmd_trace(args) -> Optional[int]:
     return None
 
 
-def cmd_bench(args) -> Optional[int]:
-    """``repro bench record|check`` — the regression gate."""
+def cmd_bench(args) -> int:
+    """``repro bench check|record`` — the model-regression check."""
     from repro import bench
 
     if args.bench_command == "record":
-        jobs = bench.suite_jobs(
-            accesses=(args.accesses if args.accesses is not None
-                      else bench.DEFAULT_ACCESSES),
-            warmup=(args.warmup if args.warmup is not None
-                    else bench.DEFAULT_WARMUP),
-            seed=args.seed if args.seed is not None else bench.DEFAULT_SEED)
-        with _run_context(args) as ctx:
-            entries = bench.run_suite(jobs, executor=_executor(args),
-                                      cache=_cache(args), ctx=ctx)
-        doc = bench.make_baseline(entries)
-        path = bench.save_baseline(doc, args.out)
-        print(f"recorded {len(entries)} benchmark(s) -> {path}")
-        for entry in entries:
-            metrics = " ".join(f"{k}={v:.6g}"
-                               for k, v in sorted(entry["metrics"].items()))
-            print(f"  {entry['name']}: {metrics}")
-        return None
+        bench.record()
+        print(f"recorded {len(bench.POINTS)} points -> "
+              f"{bench.SNAPSHOTS_PATH}, {bench.DIGESTS_PATH}")
+        return 0
 
-    # check
     try:
-        baseline = bench.load_baseline(args.baseline)
+        committed = bench.load_snapshots()
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro: cannot load baseline: {exc}")
-    if args.current:
-        try:
-            current = bench.load_baseline(args.current)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro: cannot load current document: {exc}")
-    else:
-        jobs = bench.jobs_from_baseline(baseline)
-        if not jobs:
-            raise SystemExit(
-                "repro: baseline has no re-runnable benchmarks (no job "
-                "parameters recorded); pass --current to compare against "
-                "a pre-recorded document")
-        with _run_context(args) as ctx:
-            entries = bench.run_suite(jobs, executor=_executor(args),
-                                      cache=_cache(args), ctx=ctx)
-        current = bench.make_baseline(entries)
-    report = bench.compare_baselines(
-        baseline, current, threshold_pct=args.threshold,
-        seconds_threshold_pct=args.seconds_threshold)
-    if getattr(args, "db", None):
-        from repro.obs.store import MetricsStore
-
-        with MetricsStore(args.db) as store:
-            # History first (prior runs only), then record this run.
-            bench.attach_history(report, current, store)
-            store.ingest(current, source="bench check")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report.to_markdown() + "\n")
-    _write_report_out(args, report.to_json_dict(), current,
-                      label="bench check")
-    if args.json_report:
-        with open(args.json_report, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
-            handle.write("\n")
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(report.to_markdown())
-    return 0 if report.ok else 1
-
-
-def cmd_db(args) -> Optional[int]:
-    """``repro db ingest|query|trend`` — the cross-run metrics store."""
-    from repro.obs.store import MetricsStore, format_runs, format_trend
-
-    with MetricsStore(args.db) as store:
-        if args.db_command == "ingest":
-            status = 0
-            total = 0
-            for path in args.files:
-                try:
-                    with open(path, encoding="utf-8") as handle:
-                        doc = json.load(handle)
-                    keys = store.ingest(doc, source=path)
-                except (OSError, ValueError, json.JSONDecodeError) as exc:
-                    print(f"repro: {path}: {exc}", file=sys.stderr)
-                    status = 1
-                    continue
-                total += len(keys)
-                print(f"{path}: {len(keys)} run(s)")
-            print(f"ingested {total} run(s) -> {args.db} "
-                  f"({len(store)} total)")
-            return status
-
-        if args.db_command == "query":
-            rows = store.query(workload=args.workload, mmu=args.mmu,
-                               metric=args.metric)
-            if args.json:
-                print(json.dumps([{
-                    "run_key": r.run_key, "workload": r.workload,
-                    "mmu": r.mmu, "package_version": r.package_version,
-                    "started_at": r.started_at, "source": r.source,
-                    "metrics": r.metrics} for r in rows], indent=2))
-            else:
-                print(format_runs(rows, metric=args.metric))
-            return None
-
-        # trend
-        if args.metric is None:
-            names_known = store.metric_names()
-            raise SystemExit("repro: db trend needs --metric; recorded: "
-                             + (", ".join(names_known) or "(none)"))
-        history = store.trend(args.metric, workload=args.workload,
-                              mmu=args.mmu, limit=args.limit)
-        if args.json:
-            print(json.dumps([{
-                "run_key": run.run_key, "workload": run.workload,
-                "mmu": run.mmu, "value": value,
-                "started_at": run.started_at} for run, value in history],
-                indent=2))
-        else:
-            print(format_trend(history, args.metric))
-        return None
+        raise SystemExit(f"repro: cannot read committed snapshots: {exc}")
+    lines = bench.diff(committed, bench.simulate_points())
+    for line in lines:
+        print(line)
+    moved = {line.split(": ", 1)[0] for line in lines}
+    if moved:
+        print(f"FAIL: {len(moved)} of {len(bench.POINTS)} points moved "
+              f"({len(lines)} keys)")
+        print("an intentional model change refreshes the pins with "
+              "`repro bench record`")
+        return 1
+    print(f"ok: {len(bench.POINTS)} points match "
+          f"{bench.SNAPSHOTS_PATH.name}")
+    return 0
 
 
 def cmd_report(args) -> Optional[int]:
-    """``repro report build|bench`` — the HTML report generator."""
-    from repro.report import (build_bench_report_page, build_report,
-                              load_bundle)
+    """``repro report build`` — the HTML report generator."""
+    from repro.report import build_report, load_bundle
 
-    if args.report_command == "bench":
-        try:
-            with open(args.file, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"repro: cannot read gate report: {exc}")
-        if doc.get("schema") != "repro.bench.report/v1":
-            raise SystemExit(
-                f"repro: expected a repro.bench.report/v1 document, "
-                f"got {doc.get('schema')!r}")
-        page = build_bench_report_page(doc, source=args.file)
-        return _emit_report(page, args.out)
-
-    # build
     try:
         bundle = load_bundle(args.files, trace_paths=args.trace or (),
-                             db_path=args.db,
                              workers=getattr(args, "workers", 1) or 1)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise SystemExit(f"repro: cannot build report: {exc}")
-    if not len(bundle) and not bundle.history:
+    if not len(bundle):
         print("repro: warning: no inputs — the report will carry an "
               "all-no-data scorecard", file=sys.stderr)
     page = build_report(bundle, title=args.title)
@@ -1006,87 +892,24 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(workload_parser)
 
     bench_parser = sub.add_parser(
-        "bench", help="benchmark baselines and the regression gate")
+        "bench", help="the model-regression check over the pinned points")
     bench_sub = bench_parser.add_subparsers(dest="bench_command",
                                             required=True)
-    record_parser = bench_sub.add_parser(
-        "record", help="run the canonical suite and write a baseline",
-        description="Run the canonical model-metric suite and write a "
-                    "repro.bench/v2 baseline document; every entry is "
-                    "self-describing so `bench check` can re-run it.")
-    record_parser.add_argument("--out", required=True, metavar="FILE",
-                               help="baseline JSON to write")
-    record_parser.add_argument("--accesses", type=int, default=None)
-    record_parser.add_argument("--warmup", type=int, default=None)
-    record_parser.add_argument("--seed", type=int, default=None)
-    add_exec(record_parser)
-    check_parser = bench_sub.add_parser(
-        "check", help="re-run the suite and gate against a baseline",
-        description="Re-run the benchmarks a baseline describes (or load "
-                    "--current) and compare metric by metric; exits "
-                    "non-zero when any gated metric regressed past the "
-                    "threshold.")
-    check_parser.add_argument("--baseline", required=True, metavar="FILE")
-    check_parser.add_argument("--current", metavar="FILE",
-                              help="compare this pre-recorded document "
-                                   "instead of re-running the suite")
-    check_parser.add_argument("--threshold", type=float, default=10.0,
-                              metavar="PCT",
-                              help="model-metric regression threshold in "
-                                   "percent (default: 10)")
-    check_parser.add_argument("--seconds-threshold", type=float,
-                              default=None, dest="seconds_threshold",
-                              metavar="PCT",
-                              help="also gate wall-clock seconds at this "
-                                   "threshold (default: report only)")
-    check_parser.add_argument("--report", metavar="FILE",
-                              help="write the markdown report here")
-    check_parser.add_argument("--json-report", dest="json_report",
-                              metavar="FILE",
-                              help="write the repro.bench.report/v1 "
-                                   "JSON document here")
-    check_parser.add_argument("--json", action="store_true",
-                              help="print the JSON report to stdout "
-                                   "instead of markdown")
-    check_parser.add_argument("--db", metavar="FILE",
-                              help="cross-run metrics store: annotate the "
-                                   "report with each metric's recorded "
-                                   "history, then ingest this run")
-    add_exec(check_parser)
-    add_report_out(check_parser)
-
-    db_parser = sub.add_parser(
-        "db", help="cross-run metrics store: ingest, query, trend")
-    db_sub = db_parser.add_subparsers(dest="db_command", required=True)
-    ingest_parser = db_sub.add_parser(
-        "ingest", help="ingest recorded JSON documents into the store",
-        description="Ingest repro.result/v1, repro.compare/v1, "
-                    "repro.sweep/v1 or repro.bench/v2 documents; "
-                    "re-ingesting the same run upserts (run keys are "
-                    "deterministic).")
-    ingest_parser.add_argument("--db", required=True, metavar="FILE",
-                               help="SQLite store (created if missing)")
-    ingest_parser.add_argument("files", nargs="+", metavar="JSON")
-    query_parser = db_sub.add_parser(
-        "query", help="list ingested runs and their metrics")
-    query_parser.add_argument("--db", required=True, metavar="FILE")
-    query_parser.add_argument("--workload", help="filter by workload")
-    query_parser.add_argument("--mmu", help="filter by MMU configuration")
-    query_parser.add_argument("--metric", metavar="NAME",
-                              help="show only this metric (drops runs "
-                                   "that never recorded it)")
-    query_parser.add_argument("--json", action="store_true")
-    trend_parser = db_sub.add_parser(
-        "trend", help="one metric's history across ingested runs")
-    trend_parser.add_argument("--db", required=True, metavar="FILE")
-    trend_parser.add_argument("--metric", metavar="NAME",
-                              help="metric name (see `db query`)")
-    trend_parser.add_argument("--workload", help="filter by workload")
-    trend_parser.add_argument("--mmu", help="filter by MMU configuration")
-    trend_parser.add_argument("--limit", type=_positive_int, default=None,
-                              metavar="N",
-                              help="only the last N runs")
-    trend_parser.add_argument("--json", action="store_true")
+    bench_sub.add_parser(
+        "check", help="re-simulate the pinned points; exit 1 naming "
+                      "every moved key",
+        description="Re-simulate the 60 pinned (workload, MMU) points and "
+                    "diff each full snapshot against "
+                    "tests/model_snapshots.json; prints `point: key old "
+                    "→ new` for every value that moved and exits 1 if "
+                    "any did.")
+    bench_sub.add_parser(
+        "record", help="re-simulate the pinned points and rewrite the "
+                       "committed snapshots and digests",
+        description="Rewrite tests/model_snapshots.json and "
+                    "tests/model_digests.json from a fresh simulation of "
+                    "the 60 pinned points (after an intentional model "
+                    "change).")
 
     serve_parser = sub.add_parser(
         "serve", help="long-lived simulation service over HTTP",
@@ -1142,20 +965,16 @@ def build_parser() -> argparse.ArgumentParser:
     build_parser_ = report_sub.add_parser(
         "build", help="fold recorded JSON documents into one HTML page",
         description="Fold result/compare/sweep/profile/bench/fidelity "
-                    "JSON documents (plus optional JSONL trace shards "
-                    "and a --db history) into one self-contained static "
-                    "HTML report: inline CSS, inline SVG charts, zero "
-                    "external requests, byte-identical for identical "
-                    "inputs.")
+                    "JSON documents (plus optional JSONL trace shards) "
+                    "into one self-contained static HTML report: inline "
+                    "CSS, inline SVG charts, zero external requests, "
+                    "byte-identical for identical inputs.")
     build_parser_.add_argument("files", nargs="*", metavar="JSON",
                                help="recorded machine-readable documents "
                                     "(dispatched on their schema key)")
     build_parser_.add_argument("--trace", nargs="+", metavar="FILE",
                                help="JSONL trace shards to analyze into "
                                     "a trace-analytics section")
-    build_parser_.add_argument("--db", metavar="FILE",
-                               help="metrics store: add cross-run "
-                                    "sparkline history")
     build_parser_.add_argument("--out", metavar="FILE",
                                help="write the page here (default: "
                                     "stdout)")
@@ -1166,15 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
                                metavar="N",
                                help="parse inputs on N threads (output "
                                     "is byte-identical to serial)")
-    bench_report_parser = report_sub.add_parser(
-        "bench", help="render a repro.bench.report/v1 gate report as "
-                      "HTML")
-    bench_report_parser.add_argument("file", metavar="REPORT.json",
-                                     help="a --json-report document from "
-                                          "`repro bench check`")
-    bench_report_parser.add_argument("--out", metavar="FILE",
-                                     help="write the page here "
-                                          "(default: stdout)")
     return parser
 
 
@@ -1187,7 +997,6 @@ HANDLERS = {
     "profile": cmd_profile,
     "trace": cmd_trace,
     "bench": cmd_bench,
-    "db": cmd_db,
     "report": cmd_report,
     "serve": cmd_serve,
     "experiments": cmd_experiments,

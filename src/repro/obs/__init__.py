@@ -23,9 +23,6 @@ The simulator's aggregate counters answer *how many*; this package answers
 * :mod:`repro.obs.heartbeat` — worker heartbeats over a queue, the
   parent-side monitor with stale-worker detection, and the ``--live``
   status line.
-* :mod:`repro.obs.store`     — the cross-run SQLite store behind
-  ``repro db``: every ingested run's manifest and final metrics,
-  queryable and trendable across history.
 """
 
 from repro.obs.aggregate import ProfileAggregate, aggregate_results
@@ -39,7 +36,6 @@ from repro.obs.manifest import RunManifest, config_fingerprint
 from repro.obs.metrics import (NULL_METRICS, MetricsRegistry, MetricsServer,
                                NullMetrics, SnapshotLog, fold_plan,
                                fold_result, render_prometheus)
-from repro.obs.store import MetricsStore
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer, TraceSpec
 from repro.obs.traceview import (AccessRecord, RunSummary, TraceView,
                                  combine_summaries, read_trace)
@@ -78,5 +74,4 @@ __all__ = [
     "StaleWorker",
     "WorkerStatus",
     "open_beat_channel",
-    "MetricsStore",
 ]

@@ -11,14 +11,12 @@ emits into one static HTML file:
 * :mod:`repro.report.sections` — one renderer per document kind;
 * :mod:`repro.report.html` — the page assembler.
 
-CLI surface: ``repro report build`` / ``repro report bench`` and the
-``--report-out`` flag on ``run`` / ``compare`` / ``sweep`` /
-``bench check``.  See ``docs/observability.md``, "Reports and the
-fidelity scorecard".
+CLI surface: ``repro report build`` and the ``--report-out`` flag on
+``run`` / ``compare`` / ``sweep``.  See ``docs/observability.md``,
+"Reports and the fidelity scorecard".
 """
 
-from repro.report.html import (REPORT_SCHEMA, build_bench_report_page,
-                               build_report, wrap_page)
+from repro.report.html import REPORT_SCHEMA, build_report, wrap_page
 from repro.report.model import (FIDELITY_SCHEMA, ReportBundle, fidelity_doc,
                                 load_bundle)
 from repro.report.scorecard import (CLAIMS, HEADLINE_IDS, PaperClaim,
@@ -27,6 +25,6 @@ from repro.report.scorecard import (CLAIMS, HEADLINE_IDS, PaperClaim,
 __all__ = [
     "REPORT_SCHEMA", "FIDELITY_SCHEMA", "CLAIMS", "HEADLINE_IDS",
     "ReportBundle", "PaperClaim", "ScoreRow",
-    "build_report", "build_bench_report_page", "wrap_page",
+    "build_report", "wrap_page",
     "evaluate_scorecard", "fidelity_doc", "load_bundle",
 ]

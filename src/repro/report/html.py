@@ -10,7 +10,7 @@ produce byte-identical reports however the bundle was loaded.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 from repro.report import sections
 from repro.report.model import ReportBundle
@@ -98,25 +98,12 @@ def build_report(bundle: ReportBundle,
         nav_entries.append(("combined-profile", "profile"))
     for doc, source in bundle.profiles:
         parts.append(sections.render_profile(doc, source))
-    for doc, source in bundle.bench_reports:
-        parts.append(sections.render_bench_report(doc, source))
-        nav_entries.append(("gate-" + sections._slug(source), "gate"))
     for doc, source in bundle.bench:
         parts.append(sections.render_bench(doc, source))
     for doc, source in bundle.traces:
         parts.append(sections.render_trace(doc, source))
-    if bundle.history:
-        parts.append(sections.render_history(bundle.history))
-        nav_entries.append(("history", "history"))
     parts.append(sections.render_inputs(bundle.sources))
     nav_entries.append(("inputs", "inputs"))
 
     body = _nav(nav_entries) + "".join(parts)
     return wrap_page(title, body)
-
-
-def build_bench_report_page(doc: Dict[str, Any],
-                            source: str = "(inline)") -> str:
-    """``repro report bench``: one gate report as a standalone page."""
-    body = sections.render_bench_report(doc, source)
-    return wrap_page("Benchmark regression report", body)

@@ -2,16 +2,12 @@
 
 A bundle collects the machine-readable documents the rest of the repo
 already emits — ``repro.result/v1``, ``repro.compare/v1``,
-``repro.sweep/v1``, ``repro.profile/v1``, ``repro.bench/v2`` baselines,
-``repro.bench.report/v1`` gate reports, ``repro.trace/v1`` analytics —
-plus two report-specific inputs:
-
-* ``repro.fidelity/v1`` measurement documents: a flat map from
-  scorecard claim ids (:data:`repro.report.scorecard.CLAIMS`) to
-  reproduced values, for claims no standard document can express
-  (energy reductions, table fractions);
-* cross-run history pulled from a :class:`repro.obs.store.MetricsStore`
-  (``--db``), rendered as sparklines.
+``repro.sweep/v1``, ``repro.profile/v1``, ``repro.bench/v2`` benchmark
+session records, ``repro.trace/v1`` analytics — plus the report-specific
+``repro.fidelity/v1`` measurement documents: a flat map from scorecard
+claim ids (:data:`repro.report.scorecard.CLAIMS`) to reproduced values,
+for claims no standard document can express (energy reductions, table
+fractions).
 
 ``add_doc`` dispatches on each document's ``schema`` key, so callers
 never need to know what kind of file they are holding; ``load_bundle``
@@ -26,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Tuple, Union
 
 FIDELITY_SCHEMA = "repro.fidelity/v1"
 
@@ -56,12 +52,9 @@ class ReportBundle:
     sweeps: List[Sourced] = field(default_factory=list)
     profiles: List[Sourced] = field(default_factory=list)
     bench: List[Sourced] = field(default_factory=list)
-    bench_reports: List[Sourced] = field(default_factory=list)
     traces: List[Sourced] = field(default_factory=list)
     #: claim id → ``(value, source label)``; later adds win.
     measurements: Dict[str, Tuple[float, str]] = field(default_factory=dict)
-    #: sparkline label → value series (oldest → newest).
-    history: Dict[str, List[float]] = field(default_factory=dict)
     #: every source label, in the order it was added.
     sources: List[str] = field(default_factory=list)
 
@@ -71,14 +64,12 @@ class ReportBundle:
         "repro.sweep/v1": "sweeps",
         "repro.profile/v1": "profiles",
         "repro.bench/v2": "bench",
-        "repro.bench.report/v1": "bench_reports",
         "repro.trace/v1": "traces",
     }
 
     def __len__(self) -> int:
         return (len(self.results) + len(self.compares) + len(self.sweeps)
-                + len(self.profiles) + len(self.bench)
-                + len(self.bench_reports) + len(self.traces)
+                + len(self.profiles) + len(self.bench) + len(self.traces)
                 + len(self.measurements))
 
     def add_doc(self, doc: Doc, source: str = "(inline)") -> None:
@@ -108,21 +99,6 @@ class ReportBundle:
         self.add_doc(view.to_json_dict(paths),
                      source=", ".join(paths))
 
-    def attach_store(self, store: Any, limit: int = 12) -> None:
-        """Pull per-metric cross-run history from a metrics store.
-
-        ``store`` is duck-typed on ``metric_names()`` / ``trend()``
-        (a :class:`repro.obs.store.MetricsStore`).  One sparkline per
-        recorded metric, oldest → newest, capped to ``limit`` points;
-        ordering comes from the store's deterministic started-at sort,
-        so the same database renders the same report regardless of the
-        order runs were ingested in.
-        """
-        for metric in store.metric_names():
-            values = [value for _, value in store.trend(metric, limit=limit)]
-            if values:
-                self.history[metric] = values
-
 
 def load_docs(paths: Iterable[PathLike],
               workers: int = 1) -> List[Tuple[str, Doc]]:
@@ -150,16 +126,10 @@ def load_docs(paths: Iterable[PathLike],
 
 def load_bundle(paths: Iterable[PathLike] = (),
                 trace_paths: Iterable[PathLike] = (),
-                db_path: Optional[PathLike] = None,
                 workers: int = 1) -> ReportBundle:
     """Build a bundle from files: the ``repro report build`` front."""
     bundle = ReportBundle()
     for path, doc in load_docs(paths, workers=workers):
         bundle.add_doc(doc, source=path)
     bundle.add_trace_files(trace_paths)
-    if db_path is not None:
-        from repro.obs.store import MetricsStore
-
-        with MetricsStore(db_path) as store:
-            bundle.attach_store(store)
     return bundle

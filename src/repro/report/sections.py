@@ -317,58 +317,6 @@ def render_bench(doc: Doc, source: str) -> str:
                    source=source)
 
 
-def render_bench_report(doc: Doc, source: str = "(inline)") -> str:
-    """A ``repro.bench.report/v1`` gate report, as HTML."""
-    ok = bool(doc.get("ok"))
-    verdict = badge("pass" if ok else "fail",
-                    "PASS" if ok
-                    else f"FAIL — {doc.get('regressions', 0)} regression(s)")
-    threshold = doc.get("threshold_pct")
-    seconds_threshold = doc.get("seconds_threshold_pct")
-    intro = (f"<p>{verdict} model-metric threshold "
-             f"{fmt(threshold)} %, "
-             + (f"seconds threshold {fmt(seconds_threshold)} %"
-                if seconds_threshold is not None
-                else "seconds reported but not gated") + "</p>")
-    shas = (doc.get("baseline_sha"), doc.get("current_sha"))
-    if any(shas):
-        intro += (f"<p>baseline <code>{esc(shas[0] or 'unknown')}</code> "
-                  f"→ current <code>{esc(shas[1] or 'unknown')}</code></p>")
-    deltas = doc.get("deltas") or []
-    with_history = any(d.get("history") for d in deltas)
-    rows = []
-    for delta in sorted(deltas, key=lambda d: (not d.get("regressed"),
-                                               str(d.get("benchmark")),
-                                               str(d.get("metric")))):
-        status = delta.get("status", "ok")
-        kind = ("fail" if delta.get("regressed") and delta.get("gated")
-                else "warn" if delta.get("regressed")
-                else "pass")
-        change = delta.get("change_pct", 0.0)
-        row = [esc(delta.get("benchmark")), esc(delta.get("metric")),
-               fmt(delta.get("baseline")), fmt(delta.get("current")),
-               "inf" if math.isinf(change) else f"{change:+.2f}",
-               badge(kind, status)]
-        if with_history:
-            history = delta.get("history")
-            row.append(svg.sparkline(history, width=100, height=20)
-                       if history else "—")
-        rows.append(row)
-    headers = ["benchmark", "metric", "baseline", "current", "Δ %", "status"]
-    if with_history:
-        headers.append("history")
-    body = intro + table(headers, rows,
-                         raw_columns=tuple(range(len(headers))))
-    for name in doc.get("missing") or []:
-        body += (f"<p>{badge('fail', 'missing')} "
-                 f"<code>{esc(name)}</code> dropped from current</p>")
-    for name in doc.get("added") or []:
-        body += (f"<p>{badge('warn', 'new')} <code>{esc(name)}</code> "
-                 f"has no baseline</p>")
-    return section("gate-" + _slug(source), "Regression gate", body,
-                   source=source)
-
-
 def render_trace(doc: Doc, source: str) -> str:
     """A ``repro.trace/v1`` analytics document: per-run attribution."""
     body = (f"<p>events: {esc(doc.get('events', 0))}, "
@@ -396,24 +344,6 @@ def render_trace(doc: Doc, source: str) -> str:
                  + svg.stacked_bar(overall.get("cycle_attribution") or {}))
     return section("trace-" + _slug(source), "Trace analytics", body,
                    source=source)
-
-
-def render_history(history: Dict[str, List[float]]) -> str:
-    """Cross-run metric trends (``--db``) as sparkline rows."""
-    rows = []
-    for metric in sorted(history):
-        values = history[metric]
-        rows.append([
-            esc(metric),
-            svg.sparkline(values, width=160, height=28),
-            str(len(values)), fmt(min(values)), fmt(max(values)),
-            fmt(values[-1]),
-        ])
-    body = table(["metric", "trend", "n", "min", "max", "latest"], rows,
-                 raw_columns=(0, 1, 2, 3, 4, 5))
-    return section("history", "Cross-run history", body,
-                   note="Recorded values across the ingested run history "
-                        "(oldest → newest), from the metrics store.")
 
 
 def render_inputs(sources: List[str]) -> str:

@@ -10,30 +10,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 
-_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def spark_line(values: Sequence[float]) -> str:
-    """Unicode spark bar of a value series, min-to-max scaled.
-
-    Degenerate histories stay sensible instead of collapsing to the
-    bottom glyph: an empty series renders as an empty string, and a
-    single point (or an all-equal series) renders as mid-height blocks —
-    a flat trend, not a minimum.  Shared by ``repro db trend`` and the
-    bench gate's history column.
-    """
-    values = list(values)
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span <= 0:
-        return _SPARK_BLOCKS[len(_SPARK_BLOCKS) // 2] * len(values)
-    return "".join(
-        _SPARK_BLOCKS[int((v - lo) / span * (len(_SPARK_BLOCKS) - 1))]
-        for v in values)
-
-
 def horizontal_bars(values: Mapping[str, float], width: int = 40,
                     reference: float | None = None,
                     fmt: str = "{:6.3f}") -> str:

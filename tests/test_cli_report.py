@@ -11,7 +11,6 @@ from repro.sim.report import (
     markdown_table,
     normalized_comparison,
     series_table,
-    spark_line,
 )
 
 FAST = ["--accesses", "600", "--warmup", "200"]
@@ -54,19 +53,6 @@ class TestReportHelpers:
         # No rows, and rows whose configs are all empty, both guard.
         assert normalized_comparison({}) == "(no data)"
         assert normalized_comparison({"w1": {}}) == "(no data)"
-
-    def test_spark_line_degenerate_inputs(self):
-        assert spark_line([]) == ""
-        # Single point / flat series: mid-height blocks, not the bottom
-        # glyph (a flat trend, not a minimum).
-        assert spark_line([5.0]) == spark_line([1.0])
-        assert spark_line([2.0, 2.0, 2.0]) == spark_line([9.0]) * 3
-        assert spark_line([5.0]) not in ("▁", "█")
-
-    def test_spark_line_scales_min_to_max(self):
-        out = spark_line([0.0, 1.0, 2.0])
-        assert len(out) == 3
-        assert out[0] == "▁" and out[-1] == "█"
 
     def test_normalized_comparison_has_geomean(self):
         out = normalized_comparison({

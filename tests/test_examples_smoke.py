@@ -102,8 +102,6 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "metric families" in out
         assert "byte-identical exposition: True" in out
-        assert "ingested 3 run(s)" in out
-        assert "ipc:" in out
 
     def test_fidelity_report(self, capsys, tmp_path):
         module = load_example("fidelity_report")
@@ -133,12 +131,11 @@ class TestExamplesRun:
 
     def test_bench_gate(self, capsys):
         module = load_example("bench_gate")
-        shrink(module, ACCESSES=600, WARMUP=200)
         module.main()
         out = capsys.readouterr().out
-        assert "verdict: PASS" in out
+        assert "verdict: PASS (2 points, 0 moved keys)" in out
         assert "verdict: FAIL" in out
-        assert "ipc" in out
+        assert "stream/baseline: cycle_breakdown.dram " in out
 
     @pytest.mark.slow
     def test_reproduce_paper(self, capsys):

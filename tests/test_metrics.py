@@ -1,4 +1,4 @@
-"""Tests for live telemetry: registry, exposition, heartbeats, store."""
+"""Tests for live telemetry: registry, exposition, heartbeats."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import urllib.request
 
 import pytest
 
-from repro.bench.gate import GateReport, MetricDelta, attach_history
 from repro.exec import ParallelExecutor, RunContext, SerialExecutor
 from repro.exec.job import Job, JobError
 from repro.exec.plan import ExperimentPlan
@@ -20,7 +19,6 @@ from repro.obs.heartbeat import (BeatSpec, Heartbeat, HeartbeatMonitor,
 from repro.obs.metrics import (METRICS_SCHEMA, NULL_METRICS, MetricsRegistry,
                                MetricsServer, NullMetrics, SnapshotLog,
                                fold_plan, fold_result, render_prometheus)
-from repro.obs.store import MetricsStore, format_runs, format_trend, run_key
 from repro.sim import run_workload
 
 FAST = dict(accesses=600, warmup=200)
@@ -444,153 +442,6 @@ class TestLiveStatus:
 
 
 # --------------------------------------------------------------------- #
-# Cross-run store
-# --------------------------------------------------------------------- #
-
-def _result_doc(mmu="hybrid_segments", seed=1):
-    return run_workload("gups", mmu, seed=seed, **FAST).to_json_dict()
-
-
-class TestStore:
-    def test_ingest_result_and_query(self, tmp_path):
-        doc = _result_doc()
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            keys = store.ingest(doc, source="test")
-            assert len(keys) == 1
-            rows = store.query()
-            assert len(rows) == 1
-            assert rows[0].run_key == keys[0]
-            assert rows[0].metrics["ipc"] == pytest.approx(doc["ipc"])
-            assert "tlb_bypass_rate" in rows[0].metrics
-
-    def test_reingest_is_idempotent(self, tmp_path):
-        doc = _result_doc()
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            first = store.ingest(doc)
-            second = store.ingest(doc)
-            assert first == second
-            assert len(store) == 1
-
-    def test_run_key_depends_on_identity(self):
-        assert run_key({"seed": 1}) != run_key({"seed": 2})
-        assert run_key({"a": 1, "b": 2}) == run_key({"b": 2, "a": 1})
-
-    def test_ingest_compare_document(self, tmp_path):
-        doc = {"schema": "repro.compare/v1",
-               "results": {"baseline": _result_doc("baseline"),
-                           "hybrid_tlb": _result_doc("hybrid_tlb")}}
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            assert len(store.ingest(doc)) == 2
-            assert len(store.query(mmu="baseline")) == 1
-
-    def test_ingest_bench_baseline(self, tmp_path):
-        doc = {"schema": "repro.bench/v2",
-               "meta": {"generated_unix": 1_700_000_000.0},
-               "benchmarks": [{"name": "b1", "workload": "gups",
-                               "mmu": "hybrid_segments", "fingerprint": "f1",
-                               "seconds": 1.5, "metrics": {"ipc": 0.5}}]}
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            assert store.ingest(doc) == ["f1"]
-            row = store.query()[0]
-            assert row.metrics == {"ipc": 0.5, "seconds": 1.5}
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            with pytest.raises(ValueError, match="cannot ingest"):
-                store.ingest({"schema": "repro.nope/v9"})
-
-    def test_result_without_manifest_rejected(self, tmp_path):
-        doc = _result_doc()
-        doc.pop("manifest", None)
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            with pytest.raises(ValueError, match="manifest"):
-                store.ingest(doc)
-
-    def test_trend_and_metric_history(self, tmp_path):
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            for seed in (1, 2, 3):
-                store.ingest(_result_doc(seed=seed))
-            history = store.trend("ipc", workload="gups")
-            assert len(history) == 3
-            values = store.metric_history("gups", history[0][0].mmu,
-                                          "ipc", limit=2)
-            assert len(values) == 2
-            assert values == [v for _, v in history[-2:]]
-            assert "ipc" in store.metric_names()
-
-    def test_format_helpers(self, tmp_path):
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            store.ingest(_result_doc())
-            table = format_runs(store.query(), metric="ipc")
-            assert "| run |" in table and "gups" in table
-            trend = format_trend(store.trend("ipc"), "ipc")
-            assert trend.startswith("ipc:")
-        assert format_runs([]) == "(no runs recorded)"
-        assert "no history" in format_trend([], "ipc")
-
-    def test_trend_order_independent_of_ingest_order(self, tmp_path):
-        """Trend rows follow started-at (then config), not ingest time."""
-        docs = []
-        for day, seed in enumerate((1, 2, 3), start=1):
-            doc = _result_doc(seed=seed)
-            doc["manifest"]["started_at"] = f"2026-08-0{day}T00:00:00"
-            docs.append(doc)
-        orders = []
-        for tag, sequence in (("fwd", docs), ("rev", list(reversed(docs)))):
-            with MetricsStore(tmp_path / f"{tag}.sqlite") as store:
-                for doc in sequence:
-                    store.ingest(doc)
-                history = store.trend("ipc")
-            orders.append([run.run_key for run, _ in history])
-            stamps = [run.started_at for run, _ in history]
-            assert stamps == sorted(stamps)
-        assert orders[0] == orders[1]
-
-    def test_format_trend_single_point_draws_flat_spark(self, tmp_path):
-        from repro.sim.report import spark_line
-
-        with MetricsStore(tmp_path / "db.sqlite") as store:
-            store.ingest(_result_doc())
-            trend = format_trend(store.trend("ipc"), "ipc")
-        assert "n=1" in trend
-        assert spark_line([1.0]) in trend   # mid-height block, not bottom
-
-
-class TestAttachHistory:
-    def test_attaches_matching_history(self):
-        class FakeStore:
-            def metric_history(self, workload, mmu, metric, limit=5):
-                assert (workload, mmu) == ("gups", "hybrid_segments")
-                return [0.5, 0.6] if metric == "ipc" else []
-
-        report = GateReport(threshold_pct=10.0, seconds_threshold_pct=None)
-        report.deltas = [
-            MetricDelta(benchmark="b1", metric="ipc", baseline=0.5,
-                        current=0.6, change_pct=20.0, regressed=False,
-                        improved=True, gated=True),
-            MetricDelta(benchmark="b1", metric="cycles", baseline=1.0,
-                        current=1.0, change_pct=0.0, regressed=False,
-                        improved=False, gated=True)]
-        current = {"benchmarks": [{"name": "b1", "workload": "gups",
-                                   "mmu": "hybrid_segments"}]}
-        attach_history(report, current, FakeStore())
-        assert report.deltas[0].history == [0.5, 0.6]
-        assert report.deltas[1].history is None
-        markdown = report.to_markdown()
-        assert "history" in markdown and "0.5→0.6" in markdown
-        doc = report.to_json_dict()
-        assert doc["deltas"][0]["history"] == [0.5, 0.6]
-
-    def test_markdown_without_history_has_no_column(self):
-        report = GateReport(threshold_pct=10.0, seconds_threshold_pct=None)
-        report.deltas = [
-            MetricDelta(benchmark="b1", metric="ipc", baseline=0.5,
-                        current=0.5, change_pct=0.0, regressed=False,
-                        improved=False, gated=True)]
-        assert "history" not in report.to_markdown()
-
-
-# --------------------------------------------------------------------- #
 # CLI surface
 # --------------------------------------------------------------------- #
 
@@ -634,53 +485,6 @@ class TestCliTelemetry:
         second = capsys.readouterr().err
         assert "gups/baseline cached" in second
         assert "0 ran, 1 cached, 0 failed" in second
-
-    def test_db_roundtrip(self, tmp_path, capsys):
-        from repro.cli import main
-        doc_path = tmp_path / "run.json"
-        db_path = tmp_path / "hist.sqlite"
-        assert main(["run", "gups", "hybrid_segments", "--json"]
-                    + CLI_FAST) == 0
-        doc_path.write_text(capsys.readouterr().out)
-        assert main(["db", "ingest", "--db", str(db_path),
-                     str(doc_path)]) == 0
-        assert "ingested 1 run(s)" in capsys.readouterr().out
-        assert main(["db", "query", "--db", str(db_path),
-                     "--metric", "ipc"]) == 0
-        assert "gups" in capsys.readouterr().out
-        assert main(["db", "trend", "--db", str(db_path),
-                     "--metric", "ipc"]) == 0
-        assert capsys.readouterr().out.startswith("ipc:")
-
-    def test_db_ingest_bad_file_fails(self, tmp_path, capsys):
-        from repro.cli import main
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["db", "ingest", "--db", str(tmp_path / "db.sqlite"),
-                     str(bad)]) == 1
-        assert "bad.json" in capsys.readouterr().err
-
-    def test_db_trend_requires_metric(self, tmp_path):
-        from repro.cli import main
-        with pytest.raises(SystemExit, match="--metric"):
-            main(["db", "trend", "--db", str(tmp_path / "db.sqlite")])
-
-    def test_bench_check_db_accrues_history(self, tmp_path, capsys):
-        from repro.cli import main
-        baseline = tmp_path / "baseline.json"
-        db_path = tmp_path / "hist.sqlite"
-        assert main(["bench", "record", "--out", str(baseline),
-                     "--accesses", "600", "--warmup", "200"]) == 0
-        capsys.readouterr()
-        assert main(["bench", "check", "--baseline", str(baseline),
-                     "--db", str(db_path)]) == 0
-        capsys.readouterr()
-        # Second check: the first check's ingest is now history.
-        assert main(["bench", "check", "--baseline", str(baseline),
-                     "--db", str(db_path), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"]
-        assert any(d.get("history") for d in report["deltas"])
 
 
 class TestRegistryConcurrency:

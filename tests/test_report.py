@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.report import (CLAIMS, HEADLINE_IDS, FIDELITY_SCHEMA,
                           REPORT_SCHEMA, PaperClaim, ReportBundle, ScoreRow,
-                          build_bench_report_page, build_report,
+                          build_report,
                           evaluate_scorecard, fidelity_doc, load_bundle)
 from repro.report import svg
 
@@ -185,41 +185,9 @@ class TestCliWiring:
         assert REPORT_SCHEMA in page
         assert "hybrid_tlb" in page
 
-    def test_report_bench_page(self, tmp_path):
-        doc = {
-            "schema": "repro.bench.report/v1",
-            "ok": True, "threshold_pct": 10.0,
-            "deltas": [], "missing": [], "added": [],
-        }
-        src = tmp_path / "gate.json"
-        src.write_text(json.dumps(doc))
-        out = tmp_path / "gate.html"
-        assert main(["report", "bench", str(src), "--out", str(out)]) == 0
-        assert "PASS" in out.read_text(encoding="utf-8")
-
-    def test_report_bench_rejects_wrong_schema(self, tmp_path):
-        src = tmp_path / "notgate.json"
-        src.write_text(json.dumps({"schema": "repro.result/v1"}))
-        with pytest.raises(SystemExit, match="bench.report"):
-            main(["report", "bench", str(src)])
-
-    def test_gate_report_to_html(self):
-        from repro.bench.gate import GateReport
-        page = GateReport(threshold_pct=10.0,
-                          seconds_threshold_pct=None).to_html()
-        assert "PASS" in page and page.startswith("<!DOCTYPE html>")
-
 
 class TestBuildReportApi:
     def test_empty_bundle_still_renders(self):
         page = build_report(ReportBundle())
         assert "Paper-fidelity scorecard" in page
         assert "no-data" in page
-
-    def test_bench_report_page_builder(self):
-        page = build_bench_report_page(
-            {"schema": "repro.bench.report/v1", "ok": False,
-             "regressions": 2, "threshold_pct": 5.0, "deltas": [],
-             "missing": [], "added": []},
-            source="mem")
-        assert "FAIL" in page and "2 regression(s)" in page
